@@ -18,18 +18,15 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy import special
 from scipy.special import betainc, gammaincc, gammaln
 
 from .eigensys import EigenSystem, nystrom_decompose
-from .errors import (ConfigError, DegenerateSegmentError, NumericalError,
-                     ValidationError)
+from .errors import ConfigError, DegenerateSegmentError, ValidationError
 from .kernels import SmoothedKernel, SmoothingWindow
 from .pointproc import EventStream
 from .spectra import smoothed_periodogram_eigen
 from .wavelets import Wavelet
-
-HYP2F1_TOL = 1e-12
-HYP2F1_MAX_TERMS = 100_000
 
 
 class Flavor(enum.Enum):
@@ -39,29 +36,18 @@ class Flavor(enum.Enum):
     REAL = "real"
 
 
-def hyp2f1(a1: float, a2: float, b1: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a1, a2; b1; z) by its power series.
+def hyp2f1(a1: float, a2: float, b1: float, z):
+    """Gauss hypergeometric 2F1(a1, a2; b1; z) for |z| < 1 and b1 > 0.
 
-    Valid for |z| < 1 and b1 > 0; terminates at relative tolerance 1e-12.
+    Elementwise over array z; scalar in, float out.
     """
     if b1 <= 0:
         raise ValidationError("hyp2f1 requires b1 > 0")
-    if abs(z) >= 1.0:
-        raise ValidationError("hyp2f1 power series requires |z| < 1")
-    if z == 0.0:
-        return 1.0
-    total = 1.0
-    term = 1.0
-    # termination accounts for the geometric tail (term ratio -> z), so the
-    # truncation error itself stays below the relative tolerance
-    threshold_scale = 0.5 * max(1.0 - abs(z), 1e-3)
-    for k in range(HYP2F1_MAX_TERMS):
-        term *= (a1 + k) * (a2 + k) / (b1 + k) * z / (k + 1)
-        total += term
-        if abs(term) <= HYP2F1_TOL * threshold_scale * abs(total):
-            return total
-    raise NumericalError(
-        f"hyp2f1({a1}, {a2}; {b1}; {z}) did not converge in {HYP2F1_MAX_TERMS} terms")
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(np.abs(z_arr) >= 1.0):
+        raise ValidationError("hyp2f1 requires |z| < 1")
+    out = special.hyp2f1(a1, a2, b1, z_arr)
+    return float(out) if z_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -127,18 +113,16 @@ def coherence_density(dist: CoherenceDistribution, x) -> np.ndarray | float:
         raise ValidationError("coherence density is supported on [0, 1)")
     n = dist.n
     r2 = dist.rho2
-    out = np.empty(x_arr.shape)
     if dist.flavor is Flavor.COMPLEX:
         base = (n - 1.0) * (1.0 - r2) ** n
-        for i, xi in enumerate(x_arr):
-            out[i] = base * (1.0 - xi) ** (n - 2.0) * hyp2f1(n, n, 1.0, r2 * xi)
+        out = base * (1.0 - x_arr) ** (n - 2.0) * hyp2f1(n, n, 1.0, r2 * x_arr)
     else:
         logc = gammaln(n / 2.0) - gammaln(0.5) - gammaln((n - 1.0) / 2.0)
         base = math.exp(logc) * (1.0 - r2) ** (n / 2.0)
-        for i, xi in enumerate(x_arr):
-            lead = xi ** -0.5 if xi > 0 else np.inf
-            out[i] = (base * lead * (1.0 - xi) ** ((n - 3.0) / 2.0)
-                      * hyp2f1(n / 2.0, n / 2.0, 0.5, r2 * xi))
+        with np.errstate(divide="ignore"):
+            lead = x_arr ** -0.5
+        out = (base * lead * (1.0 - x_arr) ** ((n - 3.0) / 2.0)
+               * hyp2f1(n / 2.0, n / 2.0, 0.5, r2 * x_arr))
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out[0])
     return out
@@ -289,14 +273,16 @@ class StationarityConfig:
             raise ConfigError("kappa must be positive")
 
     def resolve_system(self, T: float) -> EigenSystem:
+        """Eigensystem for horizon T: `system` if set, else a new build at
+        kappa_tilde = kappa * T^c. A build is not stored on the config, so a
+        reused config gives the right kappa_tilde at every horizon."""
         if self.system is not None:
             return self.system
         wav = self.wavelet if self.wavelet is not None else Wavelet.morlet()
         kappa_tilde = self.kappa * T**self.c
         kern = SmoothedKernel(wav, SmoothingWindow.rectangular(kappa_tilde),
                               n_points=self.n_points)
-        self.system = nystrom_decompose(kern, energy_cutoff=self.energy_cutoff)
-        return self.system
+        return nystrom_decompose(kern, energy_cutoff=self.energy_cutoff)
 
 
 def stationarity_test(stream: EventStream,

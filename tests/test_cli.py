@@ -72,6 +72,14 @@ class TestSimulate:
         assert code != 0
         assert "spectral radius" in capsys.readouterr().err
 
+    def test_event_budget_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "hawkes", "T": 1e4, "seed": 1,
+            "params": {"nu": [1.0], "alpha": [[0.9999]], "beta": [[1.0]]}}))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 3
+        assert "budget" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "poisson", "lambda": [3.0],

@@ -236,6 +236,13 @@ class TestStationarityTest:
         assert report.meta["flavor"] == "real"
         assert all(s.p_value is not None for s in report.scales)
 
+    def test_reused_config_resolves_each_horizon(self):
+        config = StationarityConfig(kappa=8.0, c=0.25, n_points=128)
+        for T in (100.0, 1500.0):
+            system = config.resolve_system(T)
+            assert system.kernel.window.kappa == pytest.approx(8.0 * T**0.25)
+        assert config.system is None
+
 
 @pytest.fixture(scope="module")
 def size_study():

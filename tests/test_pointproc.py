@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from eventspec import pointproc
 from eventspec import (EventStream, HawkesParams, ParseError,
                        ValidationError,
                        coherence_theoretical, hawkes_spectrum, load_csv,
@@ -131,6 +132,60 @@ class TestHawkes:
         a = simulate_hawkes(par, 200.0, seed=9)
         b = simulate_hawkes(par, 200.0, seed=9)
         assert np.array_equal(a.events[0], b.events[0])
+
+    def test_event_budget_refuses_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("simulator drew events past the budget check")
+
+        monkeypatch.setattr(pointproc, "_simulate_hawkes_rng", no_draw)
+        # stationary rate 1e4 per unit time: 1e8 expected events on (0, 1e4]
+        par = HawkesParams(nu=[1.0], alpha=[[0.9999]], beta=[[1.0]])
+        with pytest.raises(ValidationError, match="budget"):
+            simulate_hawkes(par, 1e4, seed=1)
+        # 6e6 per segment is within budget; the sum over segments is not
+        with pytest.raises(ValidationError, match="budget"):
+            simulate_piecewise([((0.0, 600.0), par), ((600.0, 1200.0), par)], seed=1)
+
+
+def compensator_increments(stream: EventStream, par: HawkesParams) -> list:
+    """Compensator increments between consecutive events of each stream.
+
+    With A_ij the decayed count exp(-beta_ij (t - s)) summed over type-j
+    events s < t, Lambda_i grows on (t0, t] by nu_i (t - t0) plus
+    sum_j alpha_ij / beta_ij A_ij(t0) (1 - exp(-beta_ij (t - t0))): an exact
+    O(N) pass over the merged events.
+    """
+    times = np.concatenate(stream.events)
+    marks = np.concatenate([np.full(seq.size, i) for i, seq in enumerate(stream.events)])
+    order = np.argsort(times, kind="stable")
+    ratio = par.alpha / par.beta
+    A = np.zeros((par.p, par.p))
+    compensator = np.zeros(par.p)
+    at_last_event = np.zeros(par.p)
+    t0 = 0.0
+    out = []
+    for t, m in zip(times[order], marks[order]):
+        decay = np.exp(-par.beta * (t - t0))
+        compensator += par.nu * (t - t0) + (ratio * A * (1.0 - decay)).sum(axis=1)
+        A *= decay
+        out.append(compensator[m] - at_last_event[m])
+        at_last_event[m] = compensator[m]
+        A[:, m] += 1.0
+        t0 = t
+    return out
+
+
+class TestTimeRescaling:
+    def test_compensator_increments_are_unit_exponential(self):
+        # time-rescaling theorem (Brown et al. 2002): under the true model the
+        # increments are i.i.d. Exp(1), whatever algorithm drew the events
+        par = HawkesParams.from_dict(BIVARIATE)
+        increments = []
+        for r in range(30):
+            stream = simulate_hawkes(par, 200.0, seed=np.random.SeedSequence(7, spawn_key=(r,)))
+            increments.extend(compensator_increments(stream, par))
+        assert len(increments) > 100_000
+        assert sstats.kstest(increments, "expon").pvalue > 0.01
 
 
 class TestPiecewise:
