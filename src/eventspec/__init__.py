@@ -8,8 +8,8 @@ distributional results.
 """
 
 from .eigensys import (EigenSystem, degrees_of_freedom, dof_closed_form,
-                       effective_frequency_response, eigensystem_cached,
-                       morlet_rect_eigensystem, nystrom_decompose)
+                       effective_frequency_response, eigensystem,
+                       eigensystem_cached, nystrom_decompose)
 from .errors import (ConfigError, DataError, DegenerateSegmentError,
                      EventspecError, NumericalError, ParseError, RegionError,
                      UndefinedCoherenceError, ValidationError)
@@ -42,9 +42,9 @@ __all__ = [
     "central_frequency", "chi2_sf", "coherence", "coherence_density",
     "coherence_theoretical", "cwt", "degrees_of_freedom",
     "denormalize_coords", "dof_closed_form", "effective_frequency_response",
-    "eigen_cwt", "eigensystem_cached", "field", "hawkes_spectrum", "hyp2f1", "kernel_value",
-    "kernel_value_morlet_rect", "load_csv", "lrt_statistic",
-    "morlet_rect_eigensystem", "normalize_coords", "null_percentile",
+    "eigen_cwt", "eigensystem", "eigensystem_cached", "field", "hawkes_spectrum",
+    "hyp2f1", "kernel_value", "kernel_value_morlet_rect", "load_csv",
+    "lrt_statistic", "normalize_coords", "null_percentile", "nystrom_decompose",
     "periodogram", "poisson_spectrum", "save_csv", "scaled_kernel_value",
     "simulate_hawkes", "simulate_piecewise", "simulate_poisson",
     "smoothed_periodogram_direct", "smoothed_periodogram_eigen",

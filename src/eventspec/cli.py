@@ -16,18 +16,21 @@ import sys
 import numpy as np
 
 from . import studies
-from .eigensys import nystrom_decompose
+from .eigensys import eigensystem
 from .errors import ConfigError, DataError, EventspecError, NumericalError
 from .inference import Flavor, StationarityConfig, null_percentile, stationarity_test
-from .kernels import SmoothedKernel, SmoothingWindow
+from .kernels import SmoothingWindow
 from .pointproc import HawkesParams, load_csv, save_csv, simulate_hawkes, \
     simulate_piecewise, simulate_poisson
 from .spectra import FieldConfig, field
-from .wavelets import Wavelet
+from .wavelets import DEFAULT_ALPHA, Wavelet
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+# Energy kept by eigs, periodogram and coherence unless --energy-cutoff is
+# given; the library default (eigensys.DEFAULT_ENERGY_CUTOFF) keeps more.
+CLI_ENERGY_CUTOFF = 0.999
 
 
 def _load_config(path: str | None) -> dict:
@@ -53,12 +56,9 @@ def _setting(args, cfg: dict, name: str, default=None):
     return cfg.get(name, default)
 
 
-def _make_wavelet(kind: str, alpha: float | None) -> Wavelet:
-    if kind == "morlet":
-        return Wavelet.morlet(alpha) if alpha else Wavelet.morlet()
-    if kind == "mexhat":
-        return Wavelet.mexican_hat(alpha) if alpha else Wavelet.mexican_hat()
-    raise ConfigError(f"unknown wavelet {kind!r} (choose morlet or mexhat)")
+def _make_wavelet(args, cfg: dict) -> Wavelet:
+    return Wavelet.named(_setting(args, cfg, "wavelet", "morlet"),
+                         _setting(args, cfg, "alpha", DEFAULT_ALPHA))
 
 
 def _out_dir(args) -> str:
@@ -114,14 +114,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_eigs(args) -> int:
     cfg = _load_config(args.config)
-    wavelet = _make_wavelet(_setting(args, cfg, "wavelet", "morlet"),
-                            _setting(args, cfg, "alpha"))
+    wavelet = _make_wavelet(args, cfg)
     kappa = float(_setting(args, cfg, "kappa", 10.0))
     n_points = int(_setting(args, cfg, "n-points", 512))
-    cutoff = float(_setting(args, cfg, "energy-cutoff", 0.999))
-    kern = SmoothedKernel(wavelet, SmoothingWindow.rectangular(kappa),
-                          n_points=n_points)
-    system = nystrom_decompose(kern, energy_cutoff=cutoff)
+    cutoff = float(_setting(args, cfg, "energy-cutoff", CLI_ENERGY_CUTOFF))
+    system = eigensystem(wavelet, SmoothingWindow.rectangular(kappa), n_points, cutoff)
     out = _out_dir(args)
     eig_path = os.path.join(out, "eigenvalues.csv")
     with open(eig_path, "w") as fh:
@@ -158,8 +155,7 @@ def _field_from_args(args, want_coherence: bool):
     stream = load_csv(args.events)
     if want_coherence and stream.p < 2:
         raise DataError("coherence requires at least two component streams")
-    wavelet = _make_wavelet(_setting(args, cfg, "wavelet", "morlet"),
-                            _setting(args, cfg, "alpha"))
+    wavelet = _make_wavelet(args, cfg)
     kappa = float(_setting(args, cfg, "kappa", 10.0))
     fc = FieldConfig(
         wavelet=wavelet,
@@ -169,7 +165,7 @@ def _field_from_args(args, want_coherence: bool):
         a_grid=np.asarray(cfg["a-grid"], dtype=float) if "a-grid" in cfg else None,
         b_grid=np.asarray(cfg["b-grid"], dtype=float) if "b-grid" in cfg else None,
         a_min=_setting(args, cfg, "a-min"),
-        energy_cutoff=float(_setting(args, cfg, "energy-cutoff", 0.999)),
+        energy_cutoff=float(_setting(args, cfg, "energy-cutoff", CLI_ENERGY_CUTOFF)),
         n_points=int(_setting(args, cfg, "n-points", 512)),
     )
     return stream, fc, cfg
@@ -192,11 +188,9 @@ def cmd_coherence(args) -> int:
     stream, fc, cfg = _field_from_args(args, want_coherence=True)
     result = field(stream, fc)
     q = float(_setting(args, cfg, "percentile", 0.95))
-    system = fc.system
     flavor = Flavor.COMPLEX if fc.wavelet.is_complex else Flavor.REAL
     result.meta["null_percentile_q"] = q
-    result.meta["null_percentile"] = null_percentile(
-        flavor, system.degrees_of_freedom(), q)
+    result.meta["null_percentile"] = null_percentile(flavor, result.meta["dof"], q)
     out = _out_dir(args)
     path = os.path.join(out, "coherence.csv")
     result.to_csv(path)
@@ -210,8 +204,7 @@ def cmd_coherence(args) -> int:
 def cmd_test_stationarity(args) -> int:
     cfg = _load_config(args.config)
     stream = load_csv(args.events)
-    wavelet = _make_wavelet(_setting(args, cfg, "wavelet", "morlet"),
-                            _setting(args, cfg, "alpha"))
+    wavelet = _make_wavelet(args, cfg)
     flavor_name = _setting(args, cfg, "flavor")
     flavor = Flavor(flavor_name) if flavor_name else None
     config = StationarityConfig(

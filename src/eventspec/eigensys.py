@@ -10,21 +10,31 @@ by w^(-1/2).
 Eigen-wavelets are stored as envelope samples; for a modulated wavelet the
 analytic phase factor e^{i 2 pi f x} is attached at evaluation time, so the
 interpolated quantity is smooth and slowly varying.
+
+``eigensystem(wavelet, window, n_points, energy_cutoff)`` is the one
+constructor the package uses. It memoizes by value in a bounded LRU cache
+(built-in wavelets and rectangular windows compare by their parameters), so
+equal settings share one build and no result depends on call history.
+``eigensystem_cached`` is the same lookup for a built-in wavelet by name and
+a rectangular window.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError, ValidationError
-from .kernels import SmoothedKernel, SmoothingWindow
+from .kernels import DEFAULT_GRID_POINTS, SmoothedKernel, SmoothingWindow
 from .quadrature import simpson_rule
-from .wavelets import Wavelet, autocorrelation
+from .wavelets import DEFAULT_ALPHA, Wavelet, autocorrelation
 
 DEFAULT_ENERGY_CUTOFF = 1.0 - 1e-6
+# Distinct systems kept by eigensystem(); criterion 4 cycles through six.
+SYSTEM_CACHE_SIZE = 32
 
 
 class EigenSystem:
@@ -144,7 +154,7 @@ class EigenSystem:
                 f"dof={self.degrees_of_freedom():.3f})")
 
 
-def nystrom_decompose(kernel: SmoothedKernel, n_points: int | None = None,
+def nystrom_decompose(kernel: SmoothedKernel,
                       energy_cutoff: float = DEFAULT_ENERGY_CUTOFF) -> EigenSystem:
     """Solve the discretized eigenproblem and keep the leading energy.
 
@@ -153,11 +163,7 @@ def nystrom_decompose(kernel: SmoothedKernel, n_points: int | None = None,
     """
     if not 0.0 < energy_cutoff <= 1.0:
         raise ValidationError("energy_cutoff must be in (0, 1]")
-    if n_points is not None and n_points != kernel.n_points:
-        if n_points < 64:
-            raise ValidationError("n_points must be at least 64")
-        kernel = SmoothedKernel(kernel.wavelet, kernel.window, n_points=n_points)
-    elif kernel.n_points < 64:
+    if kernel.n_points < 64:
         raise ValidationError("n_points must be at least 64")
 
     mat = kernel.envelope_values
@@ -223,39 +229,25 @@ def effective_frequency_response(system: EigenSystem, f) -> np.ndarray | float:
     return out
 
 
-def morlet_rect_eigensystem(kappa: float, alpha: float = 8.0,
-                            n_points: int | None = None,
-                            energy_cutoff: float = DEFAULT_ENERGY_CUTOFF) -> EigenSystem:
-    """Convenience constructor for the workhorse Morlet + rectangular case."""
-    wav = Wavelet.morlet(alpha)
-    win = SmoothingWindow.rectangular(kappa)
-    kern = SmoothedKernel(wav, win, n_points=n_points or 512)
-    return nystrom_decompose(kern, energy_cutoff=energy_cutoff)
+def eigensystem(wavelet: Wavelet, window: SmoothingWindow,
+                n_points: int = DEFAULT_GRID_POINTS,
+                energy_cutoff: float = DEFAULT_ENERGY_CUTOFF) -> EigenSystem:
+    """Eigensystem of the kernel of (wavelet, window), built once per value.
 
-
-_SYSTEM_CACHE: dict = {}
-
-
-def eigensystem_cached(wavelet_kind: str, kappa: float, alpha: float = 8.0,
-                       n_points: int = 512,
-                       energy_cutoff: float = DEFAULT_ENERGY_CUTOFF) -> EigenSystem:
-    """Process-wide cache of rectangular-window eigensystems.
-
-    Kernel construction dominates study runtimes; replicated simulations
-    reuse one decomposition per (wavelet, kappa) pair.
+    The system is shared between callers and must not be modified.
     """
-    key = (wavelet_kind, round(float(kappa), 9), round(float(alpha), 9),
-           int(n_points), float(energy_cutoff))
-    system = _SYSTEM_CACHE.get(key)
-    if system is None:
-        if wavelet_kind == "morlet":
-            wav = Wavelet.morlet(alpha)
-        elif wavelet_kind == "mexhat":
-            wav = Wavelet.mexican_hat(alpha)
-        else:
-            raise ValidationError(f"unknown wavelet kind {wavelet_kind!r}")
-        kern = SmoothedKernel(wav, SmoothingWindow.rectangular(kappa),
-                              n_points=n_points)
-        system = nystrom_decompose(kern, energy_cutoff=energy_cutoff)
-        _SYSTEM_CACHE[key] = system
-    return system
+    return _eigensystem(wavelet, window, int(n_points), float(energy_cutoff))
+
+
+@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _eigensystem(wavelet, window, n_points, energy_cutoff):
+    # keyed on positional arguments only, so one value means one build
+    return nystrom_decompose(SmoothedKernel(wavelet, window, n_points), energy_cutoff)
+
+
+def eigensystem_cached(wavelet_kind: str, kappa: float, alpha: float = DEFAULT_ALPHA,
+                       n_points: int = DEFAULT_GRID_POINTS,
+                       energy_cutoff: float = DEFAULT_ENERGY_CUTOFF) -> EigenSystem:
+    """eigensystem() for a built-in wavelet by name and a rectangular window."""
+    return eigensystem(Wavelet.named(wavelet_kind, alpha),
+                       SmoothingWindow.rectangular(kappa), n_points, energy_cutoff)

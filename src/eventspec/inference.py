@@ -16,14 +16,15 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
-from scipy.special import betainc, gammaincc, gammaln
+from scipy.special import gammaincc, gammaln
 
-from .eigensys import EigenSystem, nystrom_decompose
+from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
 from .errors import ConfigError, DegenerateSegmentError, ValidationError
-from .kernels import SmoothedKernel, SmoothingWindow
+from .kernels import SmoothingWindow
 from .pointproc import EventStream
 from .spectra import smoothed_periodogram_eigen
 from .wavelets import Wavelet
@@ -95,15 +96,12 @@ class CoherenceDistribution:
         return x, cdf / cdf[-1]
 
     def cdf(self, x):
-        grid, vals = self._cached_cdf()
+        grid, vals = self._cdf_table
         return np.interp(np.asarray(x, dtype=float), grid, vals)
 
-    def _cached_cdf(self):
-        cached = getattr(self, "_cdf_cache", None)
-        if cached is None:
-            cached = self.cdf_grid()
-            object.__setattr__(self, "_cdf_cache", cached)
-        return cached
+    @cached_property
+    def _cdf_table(self):
+        return self.cdf_grid()
 
 
 def coherence_density(dist: CoherenceDistribution, x) -> np.ndarray | float:
@@ -132,7 +130,7 @@ def null_percentile(flavor: Flavor, n: float, q: float) -> float:
     """q-th quantile of the zero-coherence law.
 
     Complex flavor: closed form 1 - (1-q)^(1/(n-1)) from the Beta(1, n-1)
-    CDF. Real flavor: bisection on the regularized incomplete beta of
+    CDF. Real flavor: the inverse regularized incomplete beta of
     Beta(1/2, (n-1)/2).
     """
     if not 0.0 < q < 1.0:
@@ -141,14 +139,7 @@ def null_percentile(flavor: Flavor, n: float, q: float) -> float:
         raise ValidationError("null percentile requires n > 1")
     if flavor is Flavor.COMPLEX:
         return 1.0 - (1.0 - q) ** (1.0 / (n - 1.0))
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if betainc(0.5, (n - 1.0) / 2.0, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(special.betaincinv(0.5, (n - 1.0) / 2.0, q))
 
 
 def chi2_sf(x: float, dof: float) -> float:
@@ -246,7 +237,7 @@ class StationarityReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StationarityConfig:
     """Configuration of the dyadic test.
 
@@ -255,14 +246,13 @@ class StationarityConfig:
     default.
     """
 
-    wavelet: Wavelet | None = None
+    wavelet: Wavelet = dataclass_field(default_factory=Wavelet.morlet)
     kappa: float = 8.0
     c: float = 0.25
     J: int = 3
     flavor: Flavor | None = None
     n_points: int = 512
-    energy_cutoff: float = 1.0 - 1e-6
-    system: EigenSystem | None = dataclass_field(default=None, repr=False)
+    energy_cutoff: float = DEFAULT_ENERGY_CUTOFF
 
     def validate(self) -> None:
         if self.J < 1:
@@ -273,16 +263,9 @@ class StationarityConfig:
             raise ConfigError("kappa must be positive")
 
     def resolve_system(self, T: float) -> EigenSystem:
-        """Eigensystem for horizon T: `system` if set, else a new build at
-        kappa_tilde = kappa * T^c. A build is not stored on the config, so a
-        reused config gives the right kappa_tilde at every horizon."""
-        if self.system is not None:
-            return self.system
-        wav = self.wavelet if self.wavelet is not None else Wavelet.morlet()
-        kappa_tilde = self.kappa * T**self.c
-        kern = SmoothedKernel(wav, SmoothingWindow.rectangular(kappa_tilde),
-                              n_points=self.n_points)
-        return nystrom_decompose(kern, energy_cutoff=self.energy_cutoff)
+        """Eigensystem for horizon T at kappa_tilde = kappa * T^c."""
+        return eigensystem(self.wavelet, SmoothingWindow.rectangular(self.kappa * T**self.c),
+                           self.n_points, self.energy_cutoff)
 
 
 def stationarity_test(stream: EventStream,

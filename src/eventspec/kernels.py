@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -39,6 +40,8 @@ class SmoothingWindow:
     """Non-negative symmetric density h on (-1/2, 1/2), dilated by kappa.
 
     h_kappa(u) = h(u / kappa) / kappa integrates to one on (-kappa/2, kappa/2).
+    Rectangular windows compare equal and hash by kappa; tabulated ones only
+    equal themselves.
     """
 
     def __init__(self, kind: WindowKind, kappa: float, unit_density=None):
@@ -118,20 +121,23 @@ class SmoothingWindow:
     def support(self) -> tuple[float, float]:
         return (-self.kappa / 2.0, self.kappa / 2.0)
 
+    def _key(self):
+        return id(self) if self.kind is WindowKind.TABULATED else (self.kind, self.kappa)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SmoothingWindow) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:
         return f"SmoothingWindow({self.kind.value}, kappa={self.kappa})"
 
 
-_GL_CACHE: dict[int, tuple] = {}
-
-
+@functools.cache
 def _gauss_legendre(n: int) -> tuple:
-    rule = _GL_CACHE.get(n)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        rule = ((x + 1.0) / 2.0, w / 2.0)  # mapped to [0, 1]
-        _GL_CACHE[n] = rule
-    return rule
+    x, w = np.polynomial.legendre.leggauss(n)
+    return ((x + 1.0) / 2.0, w / 2.0)  # mapped to [0, 1]
 
 
 def _pairwise_quad(wavelet: Wavelet, window: SmoothingWindow,
@@ -252,19 +258,7 @@ class SmoothedKernel:
 
         Useful as the exactly rank-one reference case for eigensolvers.
         """
-        obj = cls.__new__(cls)
-        obj.wavelet = wavelet
-        obj.window = SmoothingWindow.rectangular(1e-12)
-        obj.width = wavelet.alpha
-        obj.n_points = int(n_points)
-        obj.grid, obj.weight = midpoint_grid(-obj.width / 2.0, obj.width / 2.0,
-                                             obj.n_points)
-        obj.modulation = wavelet.modulation
-        obj._wavelet_modulation = wavelet.modulation
-        obj.n_quad = 0
-        env = wavelet.envelope(obj.grid)
-        obj.envelope_values = np.outer(env, np.conj(env))
-        return obj
+        return cls(wavelet, SmoothingWindow.rectangular(1e-12), n_points=n_points, n_quad=0)
 
     # -- evaluation -----------------------------------------------------
 

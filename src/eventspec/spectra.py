@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensys import EigenSystem, nystrom_decompose
+from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
 from .errors import ConfigError, RegionError, UndefinedCoherenceError, ValidationError
 from .kernels import SmoothedKernel, SmoothingWindow, ValidRegion
 from .pointproc import EventStream
@@ -145,7 +145,7 @@ def analyzing_frequency(f0: float, a: float) -> float:
     return f0 / a
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldConfig:
     """Grid sweep configuration for field().
 
@@ -163,15 +163,8 @@ class FieldConfig:
     n_b: int = 128
     a_min: float | None = None
     min_expected_events: float = 10.0
-    energy_cutoff: float = 1.0 - 1e-6
+    energy_cutoff: float = DEFAULT_ENERGY_CUTOFF
     n_points: int = 512
-    system: EigenSystem | None = dataclass_field(default=None, repr=False)
-
-    def build_system(self) -> EigenSystem:
-        if self.system is None:
-            kern = SmoothedKernel(self.wavelet, self.window, n_points=self.n_points)
-            self.system = nystrom_decompose(kern, energy_cutoff=self.energy_cutoff)
-        return self.system
 
 
 class SpectralField:
@@ -214,9 +207,9 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
     Points outside the valid region are marked invalid and left as NaN.
     Raises ConfigError when no grid point is valid.
     """
-    system = config.build_system()
     wav = config.wavelet
     win = config.window
+    system = eigensystem(wav, win, config.n_points, config.energy_cutoff)
     region = ValidRegion(wav.alpha, win.kappa, stream.T)
 
     if config.a_grid is not None:

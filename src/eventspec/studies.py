@@ -77,7 +77,7 @@ def run_qq_cwt(wavelet_kind: str = "morlet", process: str = "poisson",
     at the scale a = a_tilde * T / alpha and standardized by the process
     spectrum at the analyzing frequency.
     """
-    wav = Wavelet.morlet() if wavelet_kind == "morlet" else Wavelet.mexican_hat()
+    wav = Wavelet.named(wavelet_kind)
     f0 = wav.central_frequency
     results = []
     raw_rows = []
@@ -234,8 +234,7 @@ def run_test_size(rates=(2.0, 2.0), T: float = 1500.0, kappa: float = 6.0,
     statistics = [[] for _ in range(J)]
     for r in range(replicates):
         stream = simulate_poisson(list(rates), T, seed=_replicate_seed(seed, r))
-        report = stationarity_test(stream, StationarityConfig(
-            kappa=kappa, c=c, J=J, system=system))
+        report = stationarity_test(stream, config)
         for s in report.scales:
             statistics[s.j - 1].append(s.statistic)
             if s.p_value is not None and s.p_value < level:
@@ -272,8 +271,7 @@ def run_piecewise_detection(kappa: float = 8.0, c: float = 0.25, J: int = 3,
     raw = []
     for r in range(replicates):
         stream = simulate_piecewise(segments, seed=_replicate_seed(seed, r))
-        report = stationarity_test(stream, StationarityConfig(
-            kappa=kappa, c=c, J=J, system=system))
+        report = stationarity_test(stream, config)
         for s in report.scales:
             raw.append((s.j, r, s.p_value if s.p_value is not None else float("nan")))
             if s.p_value is not None and s.p_value < level:

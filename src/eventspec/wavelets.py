@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .quadrature import simpson_rule
 
 QUAD_POINTS = 4097  # composite Simpson nodes across the support
@@ -49,8 +49,10 @@ def _mexhat(t: np.ndarray) -> np.ndarray:
 class Wavelet:
     """Truncated analyzing wavelet with unit norm and zero mean.
 
-    Use the factory methods ``morlet``, ``mexican_hat``, ``tabulated`` or
-    ``from_csv``. Instances are immutable and safe to share across threads.
+    Use the factory methods ``named``, ``morlet``, ``mexican_hat``,
+    ``tabulated`` or ``from_csv``. Instances are immutable and safe to share
+    across threads. Built-in wavelets compare equal and hash by
+    (kind, alpha); tabulated ones only equal themselves.
 
     Attributes
     ----------
@@ -78,6 +80,14 @@ class Wavelet:
         self._f0: float | None = None
 
     # -- construction ---------------------------------------------------
+
+    @classmethod
+    def named(cls, kind: str, alpha: float = DEFAULT_ALPHA) -> "Wavelet":
+        """Built-in wavelet by name: 'morlet' or 'mexhat'."""
+        factories = {"morlet": cls.morlet, "mexhat": cls.mexican_hat}
+        if kind not in factories:
+            raise ConfigError(f"unknown wavelet {kind!r} (choose morlet or mexhat)")
+        return factories[kind](alpha)
 
     @classmethod
     def morlet(cls, alpha: float = DEFAULT_ALPHA) -> "Wavelet":
@@ -209,6 +219,15 @@ class Wavelet:
             self._f0 = central_frequency(self)
         return self._f0
 
+    def _key(self):
+        return id(self) if self.kind is WaveletKind.TABULATED else (self.kind, self.alpha)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Wavelet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:
         return f"Wavelet({self.label}, alpha={self.alpha})"
 
@@ -233,11 +252,6 @@ class ScaledWavelet:
         return self.base((t - self.b) / self.a) / math.sqrt(self.a)
 
     __call__ = evaluate
-
-
-def evaluate(w: ScaledWavelet, t):
-    """Functional form of ScaledWavelet.evaluate."""
-    return w.evaluate(t)
 
 
 def central_frequency(w: Wavelet, n_fft: int = 1 << 18) -> float:

@@ -165,6 +165,14 @@ class TestEigsCommand:
             header = fh.readline().strip().split(",")
         assert header[0] == "x" and "re_0" in header
 
+    def test_unknown_wavelet_is_config_error(self, tmp_path):
+        cfg = tmp_path / "eigs.json"
+        cfg.write_text(json.dumps({"wavelet": "foo"}))
+        assert run(["eigs", "--config", cfg, "--out", tmp_path]) == 2
+
+    def test_zero_alpha_is_data_error(self, tmp_path):
+        assert run(["eigs", "--alpha", 0, "--out", tmp_path]) == 3
+
 
 class TestReproduceCommand:
     def test_dof_table(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from eventspec import (SmoothedKernel, ValidationError,
+from eventspec import (SmoothedKernel, SmoothingWindow, ValidationError,
                        Wavelet, degrees_of_freedom, dof_closed_form,
-                       effective_frequency_response, eigensystem_cached,
-                       nystrom_decompose)
+                       effective_frequency_response, eigensystem,
+                       eigensystem_cached, eigensys, nystrom_decompose)
+from eventspec.studies import run_qq_coherence
 from eventspec.quadrature import simpson_rule
 
 
@@ -90,6 +91,51 @@ class TestDegreesOfFreedom:
         values = [eigensystem_cached("morlet", k).degrees_of_freedom()
                   for k in (5.0, 10.0, 20.0, 40.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Kernels passed to nystrom_decompose during the test."""
+    seen = []
+    real = eigensys.nystrom_decompose
+
+    def counting(kernel, *args, **kwargs):
+        seen.append(kernel)
+        return real(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(eigensys, "nystrom_decompose", counting)
+    return seen
+
+
+class TestEigensystemCache:
+    def test_equal_values_share_one_build(self, builds):
+        first = eigensystem(Wavelet.morlet(), SmoothingWindow.rectangular(12.0), 128)
+        assert eigensystem(Wavelet.named("morlet"), SmoothingWindow.rectangular(12),
+                           n_points=128) is first
+        assert eigensystem_cached("morlet", 12.0, n_points=128) is first
+        assert len(builds) <= 1
+
+    def test_second_lookup_and_study_do_not_rebuild(self, builds):
+        first = eigensystem_cached("morlet", 20.0)
+        builds.clear()
+        assert eigensystem_cached("morlet", 20.0) is first
+        run_qq_coherence(replicates=20)
+        assert builds == []
+
+    def test_six_systems_cycle_without_rebuilds(self, builds):
+        # criterion 4 cycles through six (wavelet, kappa) systems
+        for _ in range(2):
+            for kind in ("morlet", "mexhat"):
+                for kappa in (5.5, 7.5, 9.5):
+                    eigensystem_cached(kind, kappa, n_points=64)
+        assert len(builds) == 6
+
+    def test_tabulated_window_keyed_by_identity(self, morlet, builds):
+        u = np.linspace(-0.5, 0.5, 33)
+        windows = [SmoothingWindow.tabulated(u, np.ones_like(u), 12.0) for _ in range(2)]
+        systems = [eigensystem(morlet, w, 64) for w in windows]
+        assert systems[0] is not systems[1] and len(builds) == 2
+        assert eigensystem(morlet, windows[0], 64) is systems[0]
 
 
 class TestEigenWaveletValues:

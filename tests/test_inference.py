@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from eventspec import (CoherenceDistribution, ConfigError,
                        DegenerateSegmentError, EventStream, Flavor,
@@ -241,7 +243,40 @@ class TestStationarityTest:
         for T in (100.0, 1500.0):
             system = config.resolve_system(T)
             assert system.kernel.window.kappa == pytest.approx(8.0 * T**0.25)
-        assert config.system is None
+        assert "system" not in {f.name for f in dataclasses.fields(StationarityConfig)}
+
+    def test_result_independent_of_earlier_config(self):
+        long = simulate_poisson([2.0, 2.0], 1500.0, seed=8)
+        short = simulate_poisson([2.0, 2.0], 100.0, seed=8)
+        config = StationarityConfig(kappa=8.0, J=2, n_points=128)
+        alone = stationarity_test(long, config).to_dict()
+        stationarity_test(short, config)
+        stationarity_test(long, dataclasses.replace(config, kappa=6.0))
+        after = stationarity_test(long, config).to_dict()
+        assert after == alone
+        assert after["meta"]["kappa_tilde"] == pytest.approx(8.0 * 1500.0**0.25)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            StationarityConfig().kappa = 6.0
+
+
+def bisection_percentile(n: float, q: float) -> float:
+    """Real-flavor null quantile by bisection on Beta(1/2, (n-1)/2) (oracle)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if betainc(0.5, (n - 1.0) / 2.0, mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [4.335, 8.31, 11.57, 50.0])
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99])
+def test_real_null_percentile_matches_bisection(n, q):
+    assert abs(null_percentile(Flavor.REAL, n, q) - bisection_percentile(n, q)) < 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -287,14 +287,12 @@ class TestTwoSegmentSize:
         from eventspec import StationarityConfig, stationarity_test
         par = HawkesParams(nu=[1.0], alpha=[[0.3]], beta=[[1.0]])
         config = StationarityConfig(kappa=8.0, c=0.25, J=1)
-        system = config.resolve_system(1000.0)
         rejections = 0
         n_rep = 150
         for r in range(n_rep):
             stream = simulate_piecewise(
                 [((0.0, 500.0), par), ((500.0, 1000.0), par)], seed=3000 + r)
-            rep = stationarity_test(stream, StationarityConfig(
-                kappa=8.0, c=0.25, J=1, system=system))
+            rep = stationarity_test(stream, config)
             if rep.scales[0].p_value < 0.05:
                 rejections += 1
         # 99% binomial band around 0.05 for 150 draws, padded for the

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,8 @@ import pytest
 from eventspec import (ConfigError, EventStream, FieldConfig,
                        RegionError, SmoothedKernel, SmoothingWindow,
                        UndefinedCoherenceError, Wavelet, analyzing_frequency,
-                       coherence, cwt, denormalize_coords, eigensystem_cached,
-                       field, normalize_coords, nystrom_decompose,
+                       coherence, cwt, denormalize_coords, eigensystem,
+                       eigensystem_cached, field, normalize_coords, nystrom_decompose,
                        periodogram, simulate_poisson,
                        smoothed_periodogram_direct, smoothed_periodogram_eigen)
 from eventspec.studies import piecewise_segments
@@ -175,9 +176,31 @@ class TestField:
         cfg = self.make_config(a_grid=np.array([a]), b_grid=np.array([b]))
         result = field(s, cfg)
         assert result.valid[0, 0]
-        om = smoothed_periodogram_eigen(s, cfg.system, a, b)
+        system = eigensystem(cfg.wavelet, cfg.window, cfg.n_points, cfg.energy_cutoff)
+        om = smoothed_periodogram_eigen(s, system, a, b)
         assert np.abs(result.omega[0, 0] - om).max() < 1e-12
         assert result.gamma2[0, 0, 0, 1] == pytest.approx(coherence(om, 0, 1))
+
+    def test_result_independent_of_earlier_config(self):
+        # a config run after another one (here: the same grid at kappa = 10)
+        # must give what it gives on its own, from its own kernel
+        s = simulate_poisson([2.0, 2.0], 100.0, seed=4)
+        first = self.make_config(a_grid=np.array([1.0, 2.0]),
+                                 b_grid=np.array([40.0, 50.0]), n_points=128)
+        second = dataclasses.replace(first, window=SmoothingWindow.rectangular(20.0))
+        alone = field(s, second)
+        field(s, first)
+        after = field(s, second)
+        assert np.array_equal(after.omega, alone.omega)
+        assert after.meta == alone.meta and after.meta["kappa"] == 20.0
+        own = nystrom_decompose(SmoothedKernel(second.wavelet, second.window, n_points=128),
+                                energy_cutoff=second.energy_cutoff)
+        assert after.meta["dof"] == own.degrees_of_freedom()
+
+    def test_config_is_frozen(self):
+        cfg = self.make_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.window = SmoothingWindow.rectangular(20.0)
 
     def test_invalid_points_masked(self):
         s = simulate_poisson([2.0, 2.0], 100.0, seed=4)

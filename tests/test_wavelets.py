@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from eventspec import (ParseError, ScaledWavelet, ValidationError, Wavelet,
-                       autocorrelation, central_frequency)
+from eventspec import (ConfigError, ParseError, ScaledWavelet, ValidationError,
+                       Wavelet, autocorrelation, central_frequency)
+from eventspec.studies import run_qq_cwt
 from eventspec.quadrature import simpson_rule
 
 
@@ -135,3 +136,28 @@ class TestTabulatedIO:
         x = np.array([0.0, 0.1, 0.3, 0.35, 0.5, 0.6, 0.7, 0.8])
         with pytest.raises(ValidationError):
             Wavelet.tabulated(x, np.ones_like(x))
+
+
+class TestNamed:
+    def test_builtins_compare_by_value(self):
+        assert Wavelet.named("morlet") == Wavelet.morlet()
+        assert hash(Wavelet.named("mexhat", 10.0)) == hash(Wavelet.mexican_hat(10.0))
+        assert Wavelet.morlet() != Wavelet.mexican_hat()
+        assert Wavelet.morlet(8.0) != Wavelet.morlet(10.0)
+
+    def test_tabulated_equal_only_to_itself(self, morlet):
+        t = np.linspace(-4.0, 4.0, 257)
+        first, second = (Wavelet.tabulated(t, morlet(t)) for _ in range(2))
+        assert first == first and first != second
+
+    def test_unknown_kind_is_config_error(self):
+        with pytest.raises(ConfigError):
+            Wavelet.named("foo")
+
+    def test_zero_alpha_is_validation_error(self):
+        with pytest.raises(ValidationError):
+            Wavelet.named("morlet", 0.0)
+
+    def test_qq_cwt_rejects_unknown_kind(self):
+        with pytest.raises(ConfigError):
+            run_qq_cwt(wavelet_kind="foo", replicates=2)
