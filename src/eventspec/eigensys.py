@@ -7,9 +7,9 @@ weighted problem is already Hermitian, eigenvalues are real and the
 eigenvectors are orthonormal under the weighted inner product once scaled
 by w^(-1/2).
 
-Eigen-wavelets are stored as envelope samples; for a modulated wavelet the
-analytic phase factor e^{i 2 pi f x} is attached at evaluation time, so the
-interpolated quantity is smooth and slowly varying.
+Eigen-wavelet envelopes are kept as a table of cubic pieces; for a modulated
+wavelet the analytic phase factor e^{i 2 pi f x} is attached at evaluation
+time, so the interpolated quantity is smooth and slowly varying.
 
 ``eigensystem(wavelet, window, n_points, energy_cutoff)`` is the one
 constructor the package uses. It memoizes by value in a bounded LRU cache
@@ -25,7 +25,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError, ValidationError
 from .kernels import DEFAULT_GRID_POINTS, SmoothedKernel, SmoothingWindow
@@ -68,7 +67,12 @@ class EigenSystem:
         n_floor = int(np.count_nonzero(eigenvalues > 1e-12 * eigenvalues[0]))
         self.n_retained = max(1, min(n_keep, n_floor, vectors.shape[1]))
         self.vectors = vectors[:, : self.n_retained]
-        self._spline = CubicSpline(*self._refined_samples())
+        from scipy.interpolate import CubicSpline  # slow to import; used only here
+        spline = CubicSpline(*self._refined_samples())
+        # per interval, the coefficients of 1, dx, dx^2, dx^3 (dx from its left knot)
+        self._table = np.ascontiguousarray(spline.c[::-1].transpose(1, 0, 2))
+        self._knots = spline.x
+        self._step = (spline.x[-1] - spline.x[0]) / (spline.x.size - 1)
 
     def _refined_samples(self):
         # Envelope samples decay to (numerically) zero at the support edges,
@@ -111,24 +115,34 @@ class EigenSystem:
 
     # -- evaluation -----------------------------------------------------
 
-    def envelopes_at(self, x: np.ndarray) -> np.ndarray:
-        """Interpolated envelope samples of all retained eigen-wavelets.
-
-        Returns an array of shape (len(x), n_retained); exactly zero
-        outside the kernel support.
-        """
+    def _gather(self, x):
+        # support mask; for the n points inside, table rows (n, 4, L) and weights
+        # phase * [1, dx, dx^2, dx^3]; uniform knots make the index a floor division
         x = np.asarray(x, dtype=float)
-        half = self.kernel.width / 2.0
-        vals = self._spline(np.clip(x, -half, half))
-        vals[np.abs(x) >= half] = 0.0
-        return vals
+        inside = np.abs(x) < self.kernel.width / 2.0
+        x = x[inside]
+        idx = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
+        idx = np.clip(idx, 0, len(self._table) - 1)
+        dx = (x - self._knots[idx])[:, None]
+        weights = np.exp(2j * np.pi * self.modulation * x)[:, None] * dx ** np.arange(4)
+        return inside, self._table[idx], weights
 
     def eigen_wavelets_at(self, x: np.ndarray) -> np.ndarray:
-        """Full eigen-wavelet values (phase attached), shape (len(x), L)."""
-        vals = self.envelopes_at(x)
-        if self.modulation != 0.0:
-            vals = vals * np.exp(2j * np.pi * self.modulation * np.asarray(x))[:, None]
+        """Eigen-wavelet values, phase attached, shape (len(x), L); 0 off the support."""
+        inside, rows, weights = self._gather(x)
+        vals = np.zeros((inside.size, self.n_retained), dtype=complex)
+        vals[inside] = np.einsum("nk,nkl->nl", weights, rows)
         return vals
+
+    def summed_wavelets_at(self, x: np.ndarray) -> np.ndarray:
+        """eigen_wavelets_at(x).sum(axis=0) without forming that (len(x), L) array.
+
+        The real and imaginary parts of the weights form two rows, contracted
+        with the gathered table rows in one matrix product.
+        """
+        _, rows, weights = self._gather(x)
+        sums = weights.view(float).reshape(-1, 2).T @ rows.reshape(-1, self.n_retained)
+        return sums[0] + 1j * sums[1]
 
     def eigen_wavelet_value(self, l: int, x) -> complex | np.ndarray:
         """Nystrom extension of eigen-wavelet l at arbitrary points.

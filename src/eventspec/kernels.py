@@ -19,7 +19,6 @@ import enum
 import functools
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from .errors import ParseError, ValidationError
@@ -68,6 +67,7 @@ class SmoothingWindow:
             raise ValidationError("window samples must be non-negative")
         if points.min() < -0.5 or points.max() > 0.5:
             raise ValidationError("window samples must lie in [-1/2, 1/2]")
+        from scipy.interpolate import CubicSpline  # slow to import; used only here
         spline = CubicSpline(points, np.clip(values, 0.0, None))
         lo, hi = points[0], points[-1]
 

@@ -9,7 +9,6 @@ spectra and coherences for these processes back the Monte-Carlo studies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -175,11 +174,6 @@ class HawkesParams:
                        beta=np.asarray(cfg["beta"], dtype=float))
         except KeyError as exc:
             raise ValidationError(f"Hawkes config missing key {exc}") from None
-
-    @classmethod
-    def from_json(cls, path) -> "HawkesParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def simulate_poisson(rates, T: float, seed) -> EventStream:

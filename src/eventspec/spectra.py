@@ -3,9 +3,9 @@
 The temporally smoothed wavelet periodogram Omega(a, b) is computed two
 ways: a direct double sum of the scaled kernel over event pairs, and the
 multi-wavelet expansion sum_l eta_l v_l v_l^H where v_l is the transform
-under eigen-wavelet l. The two agree to interpolation accuracy; the eigen
-route costs O(events x retained wavelets) per point and is the default for
-grid sweeps.
+under eigen-wavelet l, one table gather and matrix product per stream
+(EigenSystem.summed_wavelets_at). The two agree to interpolation accuracy;
+the eigen route, O(events x L) per point, is the default for grid sweeps.
 """
 
 from __future__ import annotations
@@ -107,25 +107,18 @@ def eigen_cwt(stream: EventStream, system: EigenSystem, a: float, b: float,
     if check_region:
         _require_inside(system.kernel.width, stream, a, b)
     half = a * system.kernel.width / 2.0
-    root = math.sqrt(a)
-    L = system.n_retained
-    out = np.zeros((stream.p, L), dtype=complex)
-    for i in range(stream.p):
-        local = stream.window(i, b - half, b + half)
-        if local.size:
-            vals = system.eigen_wavelets_at((local - b) / a)
-            out[i] = vals.sum(axis=0) / root
-    return out
+    return np.array([system.summed_wavelets_at((stream.window(i, b - half, b + half) - b) / a)
+                     for i in range(stream.p)]) / math.sqrt(a)
 
 
 def coherence(omega: np.ndarray, i: int, j: int) -> float:
     """gamma^2_ij = |Omega_ij|^2 / (Omega_ii Omega_jj), in [0, 1] for PSD Omega."""
-    dii = omega[i, i].real
-    djj = omega[j, j].real
+    dii, djj = omega[i, i].real, omega[j, j].real
     if dii <= 0 or djj <= 0:
         raise UndefinedCoherenceError(
             f"coherence undefined: diagonal entries ({dii:.3e}, {djj:.3e}) not positive")
-    value = float(abs(omega[i, j]) ** 2 / (dii * djj))
+    z = omega[i, j]  # |z|^2 as re^2 + im^2, the arithmetic field() uses
+    value = float((z.real * z.real + z.imag * z.imag) / (dii * djj))
     return min(value, 1.0) if value < 1.0 + 1e-9 else value
 
 
@@ -230,24 +223,19 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         raise ConfigError("grids must be positive and strictly increasing")
 
     p = stream.p
-    na, nb = a_grid.size, b_grid.size
-    omega = np.full((na, nb, p, p), np.nan, dtype=complex)
-    gamma2 = np.full((na, nb, p, p), np.nan)
-    valid = np.zeros((na, nb), dtype=bool)
-    for ia, a in enumerate(a_grid):
-        for ib, b in enumerate(b_grid):
-            if not region.contains(a, b):
-                continue
-            om = smoothed_periodogram_eigen(stream, system, a, b, check_region=False)
-            omega[ia, ib] = om
-            valid[ia, ib] = True
-            diag = np.diag(om).real
-            for i in range(p):
-                for j in range(p):
-                    if diag[i] > 0 and diag[j] > 0:
-                        gamma2[ia, ib, i, j] = coherence(om, i, j)
+    valid = region.contains(a_grid[:, None], b_grid[None, :])
     if not valid.any():
         raise ConfigError("no grid point lies inside the valid triangle")
+    omega = np.full((a_grid.size, b_grid.size, p, p), np.nan, dtype=complex)
+    for ia, ib in zip(*np.nonzero(valid)):
+        omega[ia, ib] = smoothed_periodogram_eigen(stream, system, a_grid[ia], b_grid[ib],
+                                                   check_region=False)
+    # coherence() over the whole block, NaN where a diagonal entry is not positive
+    diag = np.diagonal(omega, axis1=2, axis2=3).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma2 = (omega.real ** 2 + omega.imag ** 2) / (diag[..., :, None] * diag[..., None, :])
+    gamma2 = np.where(gamma2 < 1.0 + 1e-9, np.minimum(gamma2, 1.0), gamma2)
+    gamma2[(diag[..., :, None] <= 0) | (diag[..., None, :] <= 0)] = np.nan
 
     meta = {
         "wavelet": wav.label,
@@ -263,6 +251,6 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         "n_retained": system.n_retained,
         "a_max": region.a_max,
         "n_valid": int(valid.sum()),
-        "n_grid": int(na * nb),
+        "n_grid": int(valid.size),
     }
     return SpectralField(a_grid, b_grid, omega, gamma2, valid, meta)

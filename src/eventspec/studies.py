@@ -17,7 +17,7 @@ import math
 import os
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import ndtri
 
 from .eigensys import EigenSystem, eigensystem_cached
 from .errors import ConfigError
@@ -58,8 +58,7 @@ def qq_correlation(sample: np.ndarray) -> float:
     """Correlation between ordered sample and standard-normal quantiles."""
     n = sample.size
     probs = (np.arange(1, n + 1) - 0.5) / n
-    theo = sstats.norm.ppf(probs)
-    return float(np.corrcoef(np.sort(sample), theo)[0, 1])
+    return float(np.corrcoef(np.sort(sample), ndtri(probs))[0, 1])
 
 
 def _hawkes_sigma(f: float) -> float:
@@ -176,6 +175,7 @@ def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
     else:
         raise ConfigError(f"unknown process {process!r}")
     draws = _coherence_draws(system, make, T, a_tilde, b_tilde, replicates, seed)
+    from scipy import stats as sstats  # slow to import; used only for the KS test
     dist = CoherenceDistribution(n=n, rho2=rho2, flavor=flavor)
     if rho2 == 0.0:
         if flavor is Flavor.COMPLEX:
@@ -239,6 +239,7 @@ def run_test_size(rates=(2.0, 2.0), T: float = 1500.0, kappa: float = 6.0,
             statistics[s.j - 1].append(s.statistic)
             if s.p_value is not None and s.p_value < level:
                 rejections[s.j - 1] += 1
+    from scipy import stats as sstats  # slow to import; used only for the KS test
     ks = []
     for j in range(J):
         arr = np.asarray(statistics[j])

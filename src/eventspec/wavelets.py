@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, ParseError, ValidationError
 from .quadrature import simpson_rule
@@ -46,13 +46,18 @@ def _mexhat(t: np.ndarray) -> np.ndarray:
     return _MEXHAT_NORM * (1.0 - t**2) * np.exp(-0.5 * t**2)
 
 
+@functools.lru_cache(maxsize=32)
+def _built_in(cls, kind, alpha, envelope, modulation, label):
+    return cls(kind, alpha, envelope, modulation, False, label)
+
+
 class Wavelet:
     """Truncated analyzing wavelet with unit norm and zero mean.
 
     Use the factory methods ``named``, ``morlet``, ``mexican_hat``,
     ``tabulated`` or ``from_csv``. Instances are immutable and safe to share
-    across threads. Built-in wavelets compare equal and hash by
-    (kind, alpha); tabulated ones only equal themselves.
+    across threads. Built-in wavelets are built once per (kind, alpha)
+    and compare and hash by it; tabulated ones only equal themselves.
 
     Attributes
     ----------
@@ -77,7 +82,6 @@ class Wavelet:
         self.is_complex = envelope_complex or modulation != 0.0
         self.label = label
         self._fit_corrections()
-        self._f0: float | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -92,12 +96,12 @@ class Wavelet:
     @classmethod
     def morlet(cls, alpha: float = DEFAULT_ALPHA) -> "Wavelet":
         """Morlet wavelet pi^(-1/4) exp(-t^2/2) exp(i 2 pi t)."""
-        return cls(WaveletKind.MORLET, alpha, _morlet_envelope, 1.0, False, "morlet")
+        return _built_in(cls, WaveletKind.MORLET, alpha, _morlet_envelope, 1.0, "morlet")
 
     @classmethod
     def mexican_hat(cls, alpha: float = DEFAULT_ALPHA) -> "Wavelet":
         """Unit-norm second derivative of a Gaussian (real valued)."""
-        return cls(WaveletKind.MEXICAN_HAT, alpha, _mexhat, 0.0, False, "mexhat")
+        return _built_in(cls, WaveletKind.MEXICAN_HAT, alpha, _mexhat, 0.0, "mexhat")
 
     @classmethod
     def tabulated(cls, times: np.ndarray, values: np.ndarray,
@@ -113,6 +117,7 @@ class Wavelet:
         if alpha is None:
             alpha = 2.0 * max(abs(times[0]), abs(times[-1]))
         is_complex = np.iscomplexobj(values) and np.abs(values.imag).max() > 0
+        from scipy.interpolate import CubicSpline  # slow to import; used only here
         spline = CubicSpline(times, values if is_complex else values.real)
         lo, hi = times[0], times[-1]
 
@@ -213,11 +218,9 @@ class Wavelet:
     def support(self) -> tuple[float, float]:
         return (-self.alpha / 2.0, self.alpha / 2.0)
 
-    @property
+    @functools.cached_property
     def central_frequency(self) -> float:
-        if self._f0 is None:
-            self._f0 = central_frequency(self)
-        return self._f0
+        return central_frequency(self)
 
     def _key(self):
         return id(self) if self.kind is WaveletKind.TABULATED else (self.kind, self.alpha)

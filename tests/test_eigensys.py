@@ -130,12 +130,79 @@ class TestEigensystemCache:
                     eigensystem_cached(kind, kappa, n_points=64)
         assert len(builds) == 6
 
+    def test_second_lookup_fits_no_wavelet(self, monkeypatch):
+        eigensystem_cached("morlet", 20.0)
+        fits = []
+        real = Wavelet._fit_corrections
+
+        def counting(self):
+            fits.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Wavelet, "_fit_corrections", counting)
+        eigensystem_cached("morlet", 20.0)
+        assert fits == []
+
     def test_tabulated_window_keyed_by_identity(self, morlet, builds):
         u = np.linspace(-0.5, 0.5, 33)
         windows = [SmoothingWindow.tabulated(u, np.ones_like(u), 12.0) for _ in range(2)]
         systems = [eigensystem(morlet, w, 64) for w in windows]
         assert systems[0] is not systems[1] and len(builds) == 2
         assert eigensystem(morlet, windows[0], 64) is systems[0]
+
+
+@pytest.fixture(scope="module", params=["morlet", "mexhat", "tabulated-complex"])
+def table_system(request):
+    if request.param == "tabulated-complex":
+        t = np.linspace(-3.0, 3.0, 97)
+        wavelet = Wavelet.tabulated(t, np.exp(-t**2) * np.exp(3j * t))
+        assert wavelet.is_complex and wavelet.modulation == 0.0
+        return eigensystem(wavelet, SmoothingWindow.rectangular(4.0), 128)
+    return eigensystem_cached(request.param, 10.0)
+
+
+class TestTableEvaluator:
+    """The coefficient table against PPoly on the same cubic pieces."""
+
+    @staticmethod
+    def probes(system):
+        half = system.kernel.width / 2.0
+        knots = system._refined_samples()[0]
+        rng = np.random.default_rng(7)
+        inside = np.concatenate([rng.uniform(-half, half, 600), knots[np.abs(knots) < half],
+                                 [np.nextafter(-half, 0.0), np.nextafter(half, 0.0)]])
+        outside = np.concatenate([[-half, half], rng.uniform(half, 2 * half, 20),
+                                  -rng.uniform(half, 2 * half, 20), [-1e6, 1e6]])
+        return inside, outside
+
+    def test_values_match_spline_oracle(self, table_system, spline_oracle):
+        inside, outside = self.probes(table_system)
+        x = np.concatenate([inside, outside])
+        got = table_system.eigen_wavelets_at(x)
+        ref = spline_oracle(table_system, x)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(got[inside.size:] == 0)
+
+    def test_sums_match_spline_oracle(self, table_system, spline_oracle):
+        inside, outside = self.probes(table_system)
+        for x in (inside, inside[::7], np.concatenate([outside, inside[:50]])):
+            got = table_system.summed_wavelets_at(x)
+            ref = spline_oracle(table_system, x).sum(axis=0)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(table_system.summed_wavelets_at(outside) == 0)
+        assert np.all(table_system.summed_wavelets_at(np.array([])) == 0)
+
+    def test_no_spline_on_the_evaluation_path(self, monkeypatch, morlet_sys10):
+        from scipy.interpolate import CubicSpline, PPoly
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("CubicSpline evaluated")
+
+        monkeypatch.setattr(CubicSpline, "__call__", refuse)
+        assert not any(isinstance(v, PPoly) for v in vars(morlet_sys10).values())
+        x = np.linspace(-9.5, 9.5, 41)
+        morlet_sys10.eigen_wavelets_at(x)
+        morlet_sys10.summed_wavelets_at(x)
 
 
 class TestEigenWaveletValues:

@@ -188,6 +188,20 @@ class TestStationarityTest:
         for s in report.scales:
             assert 0.0 < s.p_value < 1.0
 
+    def test_report_matches_spline_oracle_route(self, monkeypatch, spline_oracle_cwt):
+        from eventspec import spectra
+        stream = simulate_poisson([2.0, 2.0], 1500.0, seed=3)
+        config = StationarityConfig(kappa=6.0, J=3)
+        report = stationarity_test(stream, config)
+        monkeypatch.setattr(spectra, "eigen_cwt", spline_oracle_cwt)
+        oracle = stationarity_test(stream, config)
+        got = [(s.statistic, s.p_value) for s in report.scales]
+        ref = [(s.statistic, s.p_value) for s in oracle.scales]
+        got.append((report.combined_statistic, report.combined_p_value))
+        ref.append((oracle.combined_statistic, oracle.combined_p_value))
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert report.meta == oracle.meta
+
     def test_combined_dof_formula(self):
         stream = simulate_poisson([1.5], 2000.0, seed=4)
         for J in [1, 2, 4]:
@@ -286,6 +300,13 @@ def size_study():
                          J=3, replicates=500, seed=1)
 
 
+@pytest.fixture(scope="module")
+def criterion9_study():
+    from eventspec.studies import run_test_size
+    return run_test_size(rates=(2.0, 2.0), T=1500.0, kappa=6.0, c=0.25,
+                         J=3, replicates=500, seed=20252)
+
+
 class TestNullStatisticDistribution:
     """-2 log Lambda_j against chi2_{nu_j} under a Poisson null at T=1500."""
 
@@ -306,3 +327,15 @@ class TestNullStatisticDistribution:
                "binomial band (acceptance criterion 9).")
     def test_chi2_ks_finest_scale(self, size_study):
         assert size_study["chi2_ks_p"][2] > 0.01
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="On the criterion-9 design (Poisson rates (2, 2), T=1500, "
+               "kappa=6, 500 replicates, seed 20252) the plain statistic "
+               "misfits chi2 at j=2 (K=4 segments) too: KS p = 1.4e-4, "
+               "printed as 0.000 by criterion 9, while the rates-(4, 4) "
+               "design above passes at j=2. The plain LRT carries the same "
+               "O(1/n) inflation as at the finest scale; the rejection rate "
+               "itself stays within the criterion-9 band.")
+    def test_chi2_ks_middle_scale_criterion9_design(self, criterion9_study):
+        assert criterion9_study["chi2_ks_p"][1] > 0.01

@@ -92,6 +92,17 @@ class TestSmoothedPeriodogram:
         rel = np.linalg.norm(om_d - om_e) / np.linalg.norm(om_d)
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("kind", ["morlet", "mexhat"])
+    def test_matches_spline_oracle_route(self, kind, spline_oracle_cwt):
+        system = eigensystem_cached(kind, 10.0)
+        s = simulate_poisson([3.0, 1.0], 300.0, seed=17)
+        for a, b in [(0.5, 20.0), (3.0, 150.0), (16.0, 150.0)]:
+            got = smoothed_periodogram_eigen(s, system, a, b)
+            v = spline_oracle_cwt(s, system, a, b)
+            ref = (v * system.retained_eigenvalues) @ np.conj(v.T)
+            ref = 0.5 * (ref + np.conj(ref.T))
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_region_error_outside_triangle(self, morlet_sys10):
         s = simulate_poisson([2.0], 100.0, seed=1)
         with pytest.raises(RegionError):
@@ -196,6 +207,28 @@ class TestField:
         own = nystrom_decompose(SmoothedKernel(second.wavelet, second.window, n_points=128),
                                 energy_cutoff=second.energy_cutoff)
         assert after.meta["dof"] == own.degrees_of_freedom()
+
+    def test_gamma2_is_coherence_at_every_valid_point(self):
+        # stream 3 is silent in the second half, so some diagonals are zero there
+        rng = np.random.default_rng(21)
+        events = [np.sort(rng.uniform(0.0, 200.0, 400)), np.sort(rng.uniform(0.0, 200.0, 300)),
+                  np.sort(rng.uniform(0.0, 80.0, 150))]
+        result = field(EventStream(events, 200.0), self.make_config(n_a=8, n_b=16))
+        undefined = 0
+        for ia, ib in zip(*np.nonzero(result.valid)):
+            om = result.omega[ia, ib]
+            for i in range(3):
+                for j in range(3):
+                    g = result.gamma2[ia, ib, i, j]
+                    if om[i, i].real > 0 and om[j, j].real > 0:
+                        assert g == coherence(om, i, j)
+                    else:
+                        undefined += 1
+                        assert np.isnan(g)
+                        with pytest.raises(UndefinedCoherenceError):
+                            coherence(om, i, j)
+        assert undefined > 0
+        assert np.all(np.isnan(result.gamma2[~result.valid]))
 
     def test_config_is_frozen(self):
         cfg = self.make_config()
