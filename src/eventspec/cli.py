@@ -132,17 +132,13 @@ def cmd_eigs(args) -> int:
     with open(wav_path, "w") as fh:
         fh.write("x," + ",".join(
             f"re_{l},im_{l}" for l in range(system.n_retained)) + "\n")
-        full = system.eigen_wavelets_at(system.grid)
-        for i, x in enumerate(system.grid):
-            row = [repr(float(x))]
-            for l in range(system.n_retained):
-                row.append(repr(float(np.real(full[i, l]))))
-                row.append(repr(float(np.imag(full[i, l]))))
-            fh.write(",".join(row) + "\n")
+        # x, then re and im of each eigen-wavelet, one row per grid point
+        rows = np.column_stack([system.grid, system.eigen_wavelets_at(system.grid).view(float)])
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
     meta = {"wavelet": wavelet.label, "alpha": wavelet.alpha, "kappa": kappa,
             "n_points": n_points, "energy_cutoff": cutoff,
             "n_retained": system.n_retained,
-            "dof": system.degrees_of_freedom()}
+            "dof": system.degrees_of_freedom(), "diagnostics": system.diagnostics}
     with open(os.path.join(out, "eigs.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     print(f"wrote {eig_path} and {wav_path} "

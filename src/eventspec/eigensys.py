@@ -48,12 +48,14 @@ class EigenSystem:
     vectors : ndarray, shape (n_grid, n_retained)
         Envelope samples of the retained eigen-wavelets, orthonormal under
         the weighted inner product.
+    diagnostics : dict
+        Kernel health: |trace - 1|, max|K - K^H|, retained energy, last eta kept.
     """
 
     UPSAMPLE = 8  # refinement factor for the interpolation grid
 
     def __init__(self, kernel: SmoothedKernel, eigenvalues: np.ndarray,
-                 vectors: np.ndarray, energy_cutoff: float):
+                 vectors: np.ndarray, energy_cutoff: float, asymmetry: float):
         self.kernel = kernel
         self.grid = kernel.grid
         self.weight = kernel.weight
@@ -67,6 +69,10 @@ class EigenSystem:
         n_floor = int(np.count_nonzero(eigenvalues > 1e-12 * eigenvalues[0]))
         self.n_retained = max(1, min(n_keep, n_floor, vectors.shape[1]))
         self.vectors = vectors[:, : self.n_retained]
+        self.diagnostics = {"trace_error": abs(kernel.trace_estimate() - 1.0),
+                            "hermitian_asymmetry": float(asymmetry),
+                            "retained_energy": self.retained_energy,
+                            "min_retained_eigenvalue": float(eigenvalues[self.n_retained - 1])}
         from scipy.interpolate import CubicSpline  # slow to import; used only here
         spline = CubicSpline(*self._refined_samples())
         # per interval, the coefficients of 1, dx, dx^2, dx^3 (dx from its left knot)
@@ -200,7 +206,7 @@ def nystrom_decompose(kernel: SmoothedKernel,
     vecs = vecs * np.conj(lead / np.abs(lead))[None, :]
     if not np.iscomplexobj(mat):
         vecs = vecs.real
-    return EigenSystem(kernel, eta, vecs, energy_cutoff)
+    return EigenSystem(kernel, eta, vecs, energy_cutoff, asym)
 
 
 def degrees_of_freedom(system: EigenSystem) -> float:

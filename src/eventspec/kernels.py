@@ -5,6 +5,12 @@ either by quadrature (any wavelet/window pair) or by the closed erf form
 available for the Morlet wavelet with a rectangular window. K has support
 inside the square (-(alpha+kappa)/2, (alpha+kappa)/2)^2 and unit trace.
 
+SmoothedKernel samples K on its grid s_i by one Gauss-Legendre rule in u
+shared by all pairs: the window support is cut at every edge s_i +- alpha/2,
+so K = E^T diag(w h_kappa) conj(E), E[c, i] = r(s_i - u_c); it matches the
+per-pair rule _pairwise_quad (kept for kernel_value and value_matrix and as
+the test oracle) to ~1e-14 of max|K|, ~1e-7 for spline-tabulated wavelets.
+
 For a wavelet with an analytic phase factor, psi(t) = e^{i 2 pi f t} r(t),
 the kernel factorizes as K(s, t) = e^{i 2 pi f (s - t)} k(s, t) with k the
 real symmetric kernel of the envelope r. SmoothedKernel stores k and the
@@ -26,8 +32,10 @@ from .quadrature import midpoint_grid, simpson_rule
 from .wavelets import Wavelet
 
 KERNEL_QUAD_POINTS = 128    # Gauss-Legendre nodes for pointwise kernel values
-MATRIX_QUAD_POINTS = 96     # Gauss-Legendre nodes for sampled kernel matrices
+MATRIX_QUAD_POINTS = 96     # Gauss-Legendre nodes per pair for value_matrix
+CELL_QUAD_POINTS = 4        # Gauss-Legendre nodes per cell of the grid rule
 DEFAULT_GRID_POINTS = 512
+MAX_GRID_POINTS = 4096      # the kernel matrix alone is 128 MB at this size
 
 
 class WindowKind(enum.Enum):
@@ -176,6 +184,30 @@ def _pairwise_quad(wavelet: Wavelet, window: SmoothingWindow,
     return out
 
 
+def _cell_rule_matrix(wavelet: Wavelet, window: SmoothingWindow, grid: np.ndarray) -> np.ndarray:
+    """Envelope kernel k(s_i, s_j) on the grid, block by block of cells in u.
+
+    A cell is in a support if its midpoint is (one-sided limits at the edges);
+    each block adds F^T conj(F), F = sqrt(w h) E: Hermitian and PSD by design.
+    """
+    half, edge = wavelet.alpha / 2.0, window.kappa / 2.0
+    cuts = np.unique(np.clip(np.concatenate([grid - half, grid + half, [-edge, edge]]),
+                             -edge, edge))
+    frac, wts = _gauss_legendre(CELL_QUAD_POINTS)
+    out = np.zeros((grid.size, grid.size),
+                   dtype=complex if wavelet.is_complex and wavelet.modulation == 0.0 else float)
+    step = max(1, (1 << 19) // (CELL_QUAD_POINTS * grid.size))  # blocks of <= 4 MB per array
+    for start in range(0, cuts.size - 1, step):
+        lo = cuts[start:start + step + 1]
+        width = np.diff(lo)[:, None]
+        u = (lo[:-1, None] + width * frac).ravel()
+        inside = np.abs(grid - np.repeat(lo[:-1] + width[:, 0] / 2.0, frac.size)[:, None]) < half
+        f = np.where(inside, wavelet.envelope_smooth(grid - u[:, None]), 0.0)
+        f *= np.sqrt((width * wts).ravel() * window.density(u))[:, None]
+        out += f.T @ np.conj(f)
+    return out
+
+
 def kernel_value(wavelet: Wavelet, window: SmoothingWindow, s, t,
                  n_quad: int = KERNEL_QUAD_POINTS):
     """K(s, t) by quadrature over the intersection of supports.
@@ -236,8 +268,8 @@ class SmoothedKernel:
         self.window = window
         self.width = wavelet.alpha + window.kappa
         self.n_points = int(n_points)
-        if self.n_points < 16:
-            raise ValidationError("n_points too small for a usable kernel grid")
+        if not 16 <= self.n_points <= MAX_GRID_POINTS:  # before any n^2 allocation
+            raise ValidationError(f"n_points must lie in [16, {MAX_GRID_POINTS}]")
         self.grid, self.weight = midpoint_grid(-self.width / 2.0, self.width / 2.0,
                                                self.n_points)
         # With phase_factorized unset, the analytic phase is folded into the
@@ -246,7 +278,8 @@ class SmoothedKernel:
         self.modulation = wavelet.modulation if phase_factorized else 0.0
         self._wavelet_modulation = wavelet.modulation
         self.n_quad = n_quad
-        self.envelope_values = self._envelope_matrix(self.grid, self.grid)
+        self.envelope_values = (self._envelope_matrix(self.grid, self.grid) if n_quad == 0
+                                else _cell_rule_matrix(wavelet, window, self.grid))
         if not phase_factorized and wavelet.modulation != 0.0:
             phase = np.exp(2j * np.pi * wavelet.modulation
                            * (self.grid[:, None] - self.grid[None, :]))
@@ -267,33 +300,18 @@ class SmoothedKernel:
             es = self.wavelet.envelope(s_pts)
             et = es if t_pts is s_pts else self.wavelet.envelope(t_pts)
             return np.outer(es, np.conj(et))
-        if t_pts is s_pts:
-            # Hermitian: evaluate the upper triangle only and mirror
-            n = s_pts.size
-            iu, ju = np.triu_indices(n)
-            vals = _pairwise_quad(self.wavelet, self.window,
-                                  s_pts[iu], s_pts[ju], self.n_quad)
-            mat = np.zeros((n, n), dtype=vals.dtype)
-            mat[iu, ju] = vals
-            mat[ju, iu] = np.conj(vals)
-            return mat
         grid_s, grid_t = np.meshgrid(s_pts, t_pts, indexing="ij")
-        vals = _pairwise_quad(self.wavelet, self.window,
-                              grid_s.ravel().astype(float),
-                              grid_t.ravel().astype(float), self.n_quad)
+        vals = _pairwise_quad(self.wavelet, self.window, grid_s.ravel(), grid_t.ravel(),
+                              self.n_quad)
         return vals.reshape(grid_s.shape)
-
-    def _attach_phase(self, mat: np.ndarray, s_pts: np.ndarray,
-                      t_pts: np.ndarray) -> np.ndarray:
-        if self.modulation == 0.0:
-            return mat
-        phase = np.exp(2j * np.pi * self.modulation * (s_pts[:, None] - t_pts[None, :]))
-        return mat * phase
 
     @property
     def values(self) -> np.ndarray:
         """Full (possibly complex) sampled kernel matrix."""
-        return self._attach_phase(self.envelope_values, self.grid, self.grid)
+        if self.modulation == 0.0:
+            return self.envelope_values
+        return self.envelope_values * np.exp(
+            2j * np.pi * self.modulation * (self.grid[:, None] - self.grid[None, :]))
 
     def value_matrix(self, s_pts: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
         """K(s_i, t_j) for arbitrary point sets, via the stored quadrature.

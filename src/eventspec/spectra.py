@@ -178,17 +178,16 @@ class SpectralField:
     def to_csv(self, path) -> None:
         """Long format: a, b, i, j, re, im, coherence, valid (1-based i, j)."""
         p = self.p
+        pairs = [f"{i + 1},{j + 1}" for i in range(p) for j in range(p)]
+        b_texts = [repr(b) for b in np.asarray(self.b_grid, dtype=float).tolist()]
+        heads = [f"{a},{b},{ij}" for a in map(repr, np.asarray(self.a_grid, dtype=float).tolist())
+                 for b in b_texts for ij in pairs]
+        values = (map(repr, x.ravel().tolist()) for x in
+                  (self.omega.real, self.omega.imag, np.asarray(self.gamma2, dtype=float)))
+        oks = np.repeat(np.where(self.valid.ravel(), "1", "0"), p * p).tolist()
+        body = "\n".join(map(",".join, zip(heads, *values, oks)))
         with open(path, "w", newline="") as fh:
-            fh.write("a,b,i,j,re,im,coherence,valid\n")
-            for ia, a in enumerate(self.a_grid):
-                for ib, b in enumerate(self.b_grid):
-                    ok = int(self.valid[ia, ib])
-                    for i in range(p):
-                        for j in range(p):
-                            om = self.omega[ia, ib, i, j]
-                            g = float(self.gamma2[ia, ib, i, j])
-                            fh.write(f"{float(a)!r},{float(b)!r},{i + 1},{j + 1},"
-                                     f"{float(om.real)!r},{float(om.imag)!r},{g!r},{ok}\n")
+            fh.write("a,b,i,j,re,im,coherence,valid\n" + body + "\n")
 
     def meta_json(self) -> str:
         return json.dumps(self.meta, indent=2, sort_keys=True)
@@ -252,5 +251,6 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         "a_max": region.a_max,
         "n_valid": int(valid.sum()),
         "n_grid": int(valid.size),
+        "diagnostics": dict(system.diagnostics),
     }
     return SpectralField(a_grid, b_grid, omega, gamma2, valid, meta)

@@ -119,6 +119,20 @@ class TestCoherenceCommand:
         run(["simulate", "--config", cfg, "--out", tmp_path, "--name", "uni"])
         assert run(["coherence", tmp_path / "uni.csv", "--out", tmp_path]) == 3
 
+    def test_meta_carries_kernel_diagnostics(self, tmp_path, poisson_file):
+        assert run(["coherence", poisson_file, "--kappa", 10, "--n-a", 3,
+                    "--n-b", 6, "--out", tmp_path]) == 0
+        meta = json.loads((tmp_path / "coherence_meta.json").read_text())
+        assert meta["diagnostics"]["trace_error"] < 1e-4
+        assert set(meta["diagnostics"]) >= {"hermitian_asymmetry", "retained_energy",
+                                            "min_retained_eigenvalue"}
+
+    def test_oversized_kernel_grid_is_data_error(self, tmp_path, poisson_file, capsys):
+        # refused before any n^2 allocation: a 10^6-point grid would need 8 TB
+        assert run(["coherence", poisson_file, "--n-points", 1000000,
+                    "--out", tmp_path]) == 3
+        assert "n_points" in capsys.readouterr().err
+
     def test_grid_outside_triangle(self, tmp_path, poisson_file):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"a-grid": [50.0], "b-grid": [100.0]}))
@@ -164,6 +178,31 @@ class TestEigsCommand:
         with open(tmp_path / "eigenwavelets.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header[0] == "x" and "re_0" in header
+
+    def test_meta_carries_kernel_diagnostics(self, tmp_path):
+        assert run(["eigs", "--kappa", 10, "--n-points", 128, "--out", tmp_path]) == 0
+        diag = json.loads((tmp_path / "eigs.json").read_text())["diagnostics"]
+        assert set(diag) == {"trace_error", "hermitian_asymmetry", "retained_energy",
+                             "min_retained_eigenvalue"}
+        assert diag["trace_error"] < 1e-4
+
+    def test_oversized_kernel_grid_is_data_error(self, tmp_path):
+        assert run(["eigs", "--n-points", 1000000, "--out", tmp_path]) == 3
+
+    def test_eigenwavelet_csv_matches_row_by_row_writer(self, tmp_path):
+        from eventspec import Wavelet, SmoothingWindow, eigensystem
+        assert run(["eigs", "--kappa", 10, "--n-points", 128, "--out", tmp_path]) == 0
+        system = eigensystem(Wavelet.morlet(), SmoothingWindow.rectangular(10.0), 128, 0.999)
+        full = system.eigen_wavelets_at(system.grid)
+        lines = []  # the earlier writer, one repr per value: the oracle
+        for i, x in enumerate(system.grid):
+            row = [repr(float(x))]
+            for l in range(system.n_retained):
+                row.append(repr(float(np.real(full[i, l]))))
+                row.append(repr(float(np.imag(full[i, l]))))
+            lines.append(",".join(row) + "\n")
+        body = (tmp_path / "eigenwavelets.csv").read_text().split("\n", 1)[1]
+        assert body == "".join(lines)
 
     def test_unknown_wavelet_is_config_error(self, tmp_path):
         cfg = tmp_path / "eigs.json"

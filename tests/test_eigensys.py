@@ -59,6 +59,18 @@ class TestDecomposition:
             nystrom_decompose(kern)
 
 
+class TestDiagnostics:
+    def test_keys_and_trace_error(self, morlet_sys10, mexhat_sys10):
+        for system in (morlet_sys10, mexhat_sys10):
+            diag = system.diagnostics
+            assert set(diag) == {"trace_error", "hermitian_asymmetry", "retained_energy",
+                                 "min_retained_eigenvalue"}
+            assert diag["trace_error"] < 1e-4
+            assert diag["hermitian_asymmetry"] <= 1e-14 * system.kernel.envelope_values.max()
+            assert diag["retained_energy"] == system.retained_energy >= system.energy_cutoff
+            assert diag["min_retained_eigenvalue"] == system.retained_eigenvalues.min() > 0
+
+
 class TestDegreesOfFreedom:
     def test_effective_dof_kappa20(self, morlet_sys20, mexhat_sys20):
         assert degrees_of_freedom(morlet_sys20) == pytest.approx(8.31, abs=0.05)

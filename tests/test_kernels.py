@@ -5,6 +5,7 @@ from scipy.special import erf
 from eventspec import (SmoothedKernel, SmoothingWindow, ValidationError,
                        Wavelet, kernel_value, kernel_value_morlet_rect,
                        scaled_kernel_value, valid_region)
+from eventspec import kernels
 from eventspec.quadrature import simpson_rule
 
 
@@ -92,6 +93,106 @@ class TestQuadratureKernel:
             kern = system.kernel
             eigs = np.linalg.eigvalsh(kern.weight * kern.envelope_values)
             assert eigs.min() >= -1e-8 * eigs.max()
+
+
+def cos2_window(kappa):
+    pts = np.linspace(-0.5, 0.5, 201)
+    return SmoothingWindow.tabulated(pts, np.cos(np.pi * pts) ** 2, kappa=kappa)
+
+
+def tabulated_morlet():
+    xs = np.linspace(-4.0, 4.0, 4096)
+    return Wavelet.tabulated(xs, Wavelet.morlet()(xs))
+
+
+def tabulated_gauss():
+    t = np.linspace(-3.0, 3.0, 97)
+    return Wavelet.tabulated(t, np.exp(-t**2) * np.exp(3j * t))
+
+
+GRID_CASES = {
+    # name: (wavelet, window, n_points, oracle nodes, bound relative to max|K|)
+    "morlet-5": (Wavelet.morlet, lambda: SmoothingWindow.rectangular(5.0), 512, 128, 1e-12),
+    "morlet-10": (Wavelet.morlet, lambda: SmoothingWindow.rectangular(10.0), 512, 128, 1e-12),
+    "morlet-20": (Wavelet.morlet, lambda: SmoothingWindow.rectangular(20.0), 512, 128, 1e-12),
+    "mexhat-10": (Wavelet.mexican_hat, lambda: SmoothingWindow.rectangular(10.0), 512, 128,
+                  1e-12),
+    # the window is a cubic spline on 200 pieces: the default 128-node oracle
+    # rule is itself off by ~8e-11 there, 1024 nodes bring it to ~1e-13
+    "morlet-cos2-window": (Wavelet.morlet, lambda: cos2_window(10.0), 512, 1024, 1e-12),
+    # spline wavelets: the global oracle rule is inexact on a piecewise-cubic
+    # integrand (measured 1e-7 and 5e-8)
+    "tabulated-morlet": (tabulated_morlet, lambda: SmoothingWindow.rectangular(10.0), 512, 128,
+                         1e-6),
+    "tabulated-complex": (tabulated_gauss, lambda: SmoothingWindow.rectangular(4.0), 128, 128,
+                          1e-6),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GRID_CASES))
+def grid_case(request):
+    make_wavelet, make_window, n, n_quad, bound = GRID_CASES[request.param]
+    wavelet, window = make_wavelet(), make_window()
+    return SmoothedKernel(wavelet, window, n_points=n), n_quad, bound
+
+
+def grid_pairs(kern):
+    """Seeded pairs, the diagonal, both grid ends, and the pairs on either side
+    of the overlap edge |s_i - s_j| = alpha of the two envelope supports."""
+    n, h = kern.n_points, kern.weight
+    rng = np.random.default_rng(55)
+    rows = [rng.integers(0, n, size=(200, 2)), np.repeat(np.arange(0, n, 5), 2).reshape(-1, 2)]
+    k = int(kern.wavelet.alpha / h)  # (k + 1) h > alpha > k h: last overlapping offset
+    for i in (0, 1, n // 3, n // 2, n - k - 2):
+        for off in (k - 1, k, k + 1, k + 2):
+            rows.append(np.array([[i, i + off], [i + off, i]]))
+    rows.append(np.array([[0, 0], [n - 1, n - 1], [0, n - 1], [n - 1, 0]]))
+    idx = np.concatenate(rows)
+    idx = idx[(idx >= 0).all(axis=1) & (idx < n).all(axis=1)]
+    return idx[:, 0], idx[:, 1]
+
+
+class TestGridMatrix:
+    """The grid matrix from the shared cell rule against the per-pair oracle."""
+
+    def test_matches_kernel_value(self, grid_case):
+        kern, n_quad, bound = grid_case
+        i, j = grid_pairs(kern)
+        ref = kernel_value(kern.wavelet, kern.window, kern.grid[i], kern.grid[j], n_quad=n_quad)
+        values = kern.values
+        assert np.abs(values[i, j] - ref).max() <= bound * np.abs(values).max()
+
+    def test_disjoint_supports_exactly_zero(self, grid_case):
+        kern, _, _ = grid_case
+        i, j = grid_pairs(kern)
+        apart = np.abs(kern.grid[i] - kern.grid[j]) >= kern.wavelet.alpha
+        assert apart.sum() >= 10
+        assert np.all(kern.envelope_values[i[apart], j[apart]] == 0.0)
+        near = (~apart) & (np.abs(kern.grid[i] - kern.grid[j]) > kern.wavelet.alpha - 2 * kern.weight)
+        assert near.sum() >= 10  # pairs with a sliver of overlap are in the sample
+
+    def test_hermitian_to_rounding(self, grid_case):
+        kern, _, _ = grid_case
+        mat = kern.envelope_values
+        assert np.abs(mat - np.conj(mat.T)).max() <= 1e-14 * np.abs(mat).max()
+
+    def test_grid_build_never_calls_pairwise_rule(self, monkeypatch, morlet):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_pairwise_quad reached by a grid build")
+
+        monkeypatch.setattr(kernels, "_pairwise_quad", refuse)
+        for wavelet, window in [(morlet, SmoothingWindow.rectangular(10.0)),
+                                (Wavelet.mexican_hat(), cos2_window(6.0)),
+                                (tabulated_gauss(), SmoothingWindow.rectangular(4.0))]:
+            kern = SmoothedKernel(wavelet, window, n_points=128)
+        with pytest.raises(AssertionError):  # the arbitrary-point route still uses it
+            kern.value_matrix(np.array([0.1]), np.array([0.2]))
+
+    def test_grid_size_capped_before_allocation(self, morlet, rect10, monkeypatch):
+        monkeypatch.setattr(kernels, "midpoint_grid", None)  # any use would raise TypeError
+        for n in (kernels.MAX_GRID_POINTS + 1, 10**12, 15):
+            with pytest.raises(ValidationError):
+                SmoothedKernel(morlet, rect10, n_points=n)
 
 
 class TestScaledKernel:

@@ -267,6 +267,33 @@ class TestField:
         assert float(row01["im"]) == pytest.approx(om.imag)
         assert int(row01["valid"]) == 1
 
+    @staticmethod
+    def row_by_row_csv(result, path):
+        # the earlier writer, one f-string per row: the oracle for to_csv
+        p = result.p
+        with open(path, "w", newline="") as fh:
+            fh.write("a,b,i,j,re,im,coherence,valid\n")
+            for ia, a in enumerate(result.a_grid):
+                for ib, b in enumerate(result.b_grid):
+                    ok = int(result.valid[ia, ib])
+                    for i in range(p):
+                        for j in range(p):
+                            om = result.omega[ia, ib, i, j]
+                            g = float(result.gamma2[ia, ib, i, j])
+                            fh.write(f"{float(a)!r},{float(b)!r},{i + 1},{j + 1},"
+                                     f"{float(om.real)!r},{float(om.imag)!r},{g!r},{ok}\n")
+
+    def test_csv_bytes_match_row_by_row_writer(self, tmp_path):
+        # p = 3 with a silent third stream: NaN coherence at valid points,
+        # NaN everywhere at the invalid ones outside the triangle
+        events = simulate_poisson([2.0, 1.5], 150.0, seed=9).events
+        s = EventStream(list(events) + [np.array([])], 150.0)
+        result = field(s, self.make_config(n_a=5, n_b=9, n_points=128))
+        assert not result.valid.all() and np.isnan(result.gamma2[result.valid]).any()
+        result.to_csv(tmp_path / "fast.csv")
+        self.row_by_row_csv(result, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_piecewise_coherence_concentrates_in_coupled_window(self):
         # single realization of the piecewise design: the share of
         # above-threshold coherence values at coarse scales should be
