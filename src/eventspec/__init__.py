@@ -7,7 +7,7 @@ stationarity, and the Poisson/Hawkes simulators used to validate the
 distributional results.
 """
 
-from .eigensys import (EigenSystem, degrees_of_freedom, dof_closed_form,
+from .eigensys import (EigenSystem, dof_closed_form,
                        effective_frequency_response, eigensystem,
                        eigensystem_cached, nystrom_decompose)
 from .errors import (ConfigError, DataError, DegenerateSegmentError,
@@ -19,13 +19,12 @@ from .inference import (CoherenceDistribution, Flavor, StationarityConfig,
                         stationarity_test)
 from .kernels import (SmoothedKernel, SmoothingWindow, ValidRegion,
                       WindowKind, kernel_value, kernel_value_morlet_rect,
-                      scaled_kernel_value, valid_region)
+                      scaled_kernel_value)
 from .pointproc import (EventStream, HawkesParams, coherence_theoretical,
                         hawkes_spectrum, load_csv, poisson_spectrum, save_csv,
                         simulate_hawkes, simulate_piecewise, simulate_poisson)
-from .spectra import (FieldConfig, SpectralField, analyzing_frequency,
-                      coherence, cwt, denormalize_coords, eigen_cwt, field,
-                      normalize_coords, periodogram,
+from .spectra import (FieldConfig, SpectralField, coherence, cwt, denormalize_coords,
+                      eigen_cwt, field, normalize_coords, periodogram,
                       smoothed_periodogram_direct, smoothed_periodogram_eigen)
 from .wavelets import ScaledWavelet, Wavelet, WaveletKind, autocorrelation, central_frequency
 
@@ -38,9 +37,9 @@ __all__ = [
     "RegionError", "ScaledWavelet", "SmoothedKernel", "SmoothingWindow",
     "SpectralField", "StationarityConfig", "StationarityReport",
     "UndefinedCoherenceError", "ValidRegion", "ValidationError", "Wavelet",
-    "WaveletKind", "WindowKind", "analyzing_frequency", "autocorrelation",
+    "WaveletKind", "WindowKind", "autocorrelation",
     "central_frequency", "chi2_sf", "coherence", "coherence_density",
-    "coherence_theoretical", "cwt", "degrees_of_freedom",
+    "coherence_theoretical", "cwt",
     "denormalize_coords", "dof_closed_form", "effective_frequency_response",
     "eigen_cwt", "eigensystem", "eigensystem_cached", "field", "hawkes_spectrum",
     "hyp2f1", "kernel_value", "kernel_value_morlet_rect", "load_csv",
@@ -48,5 +47,5 @@ __all__ = [
     "periodogram", "poisson_spectrum", "save_csv", "scaled_kernel_value",
     "simulate_hawkes", "simulate_piecewise", "simulate_poisson",
     "smoothed_periodogram_direct", "smoothed_periodogram_eigen",
-    "stationarity_test", "valid_region",
+    "stationarity_test",
 ]

@@ -209,11 +209,6 @@ def nystrom_decompose(kernel: SmoothedKernel,
     return EigenSystem(kernel, eta, vecs, energy_cutoff, asym)
 
 
-def degrees_of_freedom(system: EigenSystem) -> float:
-    """Effective Wishart degrees of freedom n = 1 / sum(eta_l^2)."""
-    return system.degrees_of_freedom()
-
-
 def dof_closed_form(wavelet: Wavelet, kappa: float, n_quad: int = 4097) -> float:
     """Large-kappa closed form n = kappa / integral |P(x)|^2 dx.
 

@@ -5,11 +5,13 @@ either by quadrature (any wavelet/window pair) or by the closed erf form
 available for the Morlet wavelet with a rectangular window. K has support
 inside the square (-(alpha+kappa)/2, (alpha+kappa)/2)^2 and unit trace.
 
-SmoothedKernel samples K on its grid s_i by one Gauss-Legendre rule in u
-shared by all pairs: the window support is cut at every edge s_i +- alpha/2,
-so K = E^T diag(w h_kappa) conj(E), E[c, i] = r(s_i - u_c); it matches the
-per-pair rule _pairwise_quad (kept for kernel_value and value_matrix and as
-the test oracle) to ~1e-14 of max|K|, ~1e-7 for spline-tabulated wavelets.
+Every sampled value of k comes from one Gauss-Legendre cell rule in u,
+_cell_factors: the grid matrix, value_matrix (so the Nystrom extension and
+scaled_kernel_value) and spectra.smoothed_periodogram_direct. Cells wider than
+the grid step are split: a few sparse points otherwise leave cells as wide as
+the window, 1.6e-4 off. It agrees with a fine per-pair rule to ~3e-13 of
+max|K| (~1e-8 for a spline-tabulated wavelet); that rule, _pairwise_quad, is
+kept only behind kernel_value, the reference path and test oracle.
 
 For a wavelet with an analytic phase factor, psi(t) = e^{i 2 pi f t} r(t),
 the kernel factorizes as K(s, t) = e^{i 2 pi f (s - t)} k(s, t) with k the
@@ -32,10 +34,10 @@ from .quadrature import midpoint_grid, simpson_rule
 from .wavelets import Wavelet
 
 KERNEL_QUAD_POINTS = 128    # Gauss-Legendre nodes for pointwise kernel values
-MATRIX_QUAD_POINTS = 96     # Gauss-Legendre nodes per pair for value_matrix
 CELL_QUAD_POINTS = 4        # Gauss-Legendre nodes per cell of the grid rule
 DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 4096      # the kernel matrix alone is 128 MB at this size
+MAX_FIELD_BYTES = 1 << 30   # field()'s complex (n_a, n_b, p, p) omega; gamma2 adds half
 
 
 class WindowKind(enum.Enum):
@@ -184,28 +186,33 @@ def _pairwise_quad(wavelet: Wavelet, window: SmoothingWindow,
     return out
 
 
-def _cell_rule_matrix(wavelet: Wavelet, window: SmoothingWindow, grid: np.ndarray) -> np.ndarray:
-    """Envelope kernel k(s_i, s_j) on the grid, block by block of cells in u.
+def _cell_factors(kern: "SmoothedKernel", point_sets: list):
+    """Per block of cells in u, F = sqrt(w h_kappa(u)) E, E[c, i] = r(pts_i - u_c), per set.
 
-    A cell is in a support if its midpoint is (one-sided limits at the edges);
-    each block adds F^T conj(F), F = sqrt(w h) E: Hermitian and PSD by design.
+    The window support is cut at every pts +- alpha/2 of every set, cells wider
+    than the grid step are split evenly, each cell gets CELL_QUAD_POINTS nodes,
+    and a point is in a cell's support if its midpoint is (one-sided limits at
+    the edges). Summed over blocks, F_s^T conj(F_t) is k(s_i, t_j), PSD for s = t.
     """
-    half, edge = wavelet.alpha / 2.0, window.kappa / 2.0
-    cuts = np.unique(np.clip(np.concatenate([grid - half, grid + half, [-edge, edge]]),
-                             -edge, edge))
+    half, edge = kern.wavelet.alpha / 2.0, kern.window.kappa / 2.0
+    cuts = np.unique(np.clip(np.concatenate([pts + d for pts in point_sets for d in (-half, half)]
+                                            + [[-edge, edge]]), -edge, edge))
+    # sparse point sets leave cells too wide for 4 nodes; grid cuts are never split
+    pieces = np.ceil(np.diff(cuts) / kern.weight).astype(np.intp)
+    offset = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    cuts = np.append(np.repeat(cuts[:-1], pieces)
+                     + offset * np.repeat(np.diff(cuts) / pieces, pieces), edge)
     frac, wts = _gauss_legendre(CELL_QUAD_POINTS)
-    out = np.zeros((grid.size, grid.size),
-                   dtype=complex if wavelet.is_complex and wavelet.modulation == 0.0 else float)
-    step = max(1, (1 << 19) // (CELL_QUAD_POINTS * grid.size))  # blocks of <= 4 MB per array
+    widest = max(1, max(pts.size for pts in point_sets))
+    step = max(1, (1 << 19) // (CELL_QUAD_POINTS * widest))  # blocks of <= 4 MB per real array
     for start in range(0, cuts.size - 1, step):
         lo = cuts[start:start + step + 1]
         width = np.diff(lo)[:, None]
         u = (lo[:-1, None] + width * frac).ravel()
-        inside = np.abs(grid - np.repeat(lo[:-1] + width[:, 0] / 2.0, frac.size)[:, None]) < half
-        f = np.where(inside, wavelet.envelope_smooth(grid - u[:, None]), 0.0)
-        f *= np.sqrt((width * wts).ravel() * window.density(u))[:, None]
-        out += f.T @ np.conj(f)
-    return out
+        mid = np.repeat(lo[:-1] + width[:, 0] / 2.0, frac.size)[:, None]
+        root = np.sqrt((width * wts).ravel() * kern.window.density(u))[:, None]
+        yield [np.where(np.abs(pts - mid) < half, kern.wavelet.envelope_smooth(pts - u[:, None]),
+                        0.0) * root for pts in point_sets]
 
 
 def kernel_value(wavelet: Wavelet, window: SmoothingWindow, s, t,
@@ -262,7 +269,6 @@ class SmoothedKernel:
 
     def __init__(self, wavelet: Wavelet, window: SmoothingWindow,
                  n_points: int = DEFAULT_GRID_POINTS,
-                 n_quad: int = MATRIX_QUAD_POINTS,
                  phase_factorized: bool = True):
         self.wavelet = wavelet
         self.window = window
@@ -277,9 +283,7 @@ class SmoothedKernel:
         # this is the cross-check path for the factorized (real) default.
         self.modulation = wavelet.modulation if phase_factorized else 0.0
         self._wavelet_modulation = wavelet.modulation
-        self.n_quad = n_quad
-        self.envelope_values = (self._envelope_matrix(self.grid, self.grid) if n_quad == 0
-                                else _cell_rule_matrix(wavelet, window, self.grid))
+        self.envelope_values = self._cell_sum(self.grid, self.grid)
         if not phase_factorized and wavelet.modulation != 0.0:
             phase = np.exp(2j * np.pi * wavelet.modulation
                            * (self.grid[:, None] - self.grid[None, :]))
@@ -289,21 +293,20 @@ class SmoothedKernel:
     def rank_one(cls, wavelet: Wavelet, n_points: int = DEFAULT_GRID_POINTS) -> "SmoothedKernel":
         """Degenerate kernel psi(s) psi*(t), the single-point-window limit.
 
-        Useful as the exactly rank-one reference case for eigensolvers.
+        Useful as the exactly rank-one reference case for eigensolvers: the
+        window support is one cell of the cell rule, with sum w h = 1.
         """
-        return cls(wavelet, SmoothingWindow.rectangular(1e-12), n_points=n_points, n_quad=0)
+        return cls(wavelet, SmoothingWindow.rectangular(1e-12), n_points)
 
     # -- evaluation -----------------------------------------------------
 
-    def _envelope_matrix(self, s_pts: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
-        if self.n_quad == 0:  # rank-one degenerate kernel
-            es = self.wavelet.envelope(s_pts)
-            et = es if t_pts is s_pts else self.wavelet.envelope(t_pts)
-            return np.outer(es, np.conj(et))
-        grid_s, grid_t = np.meshgrid(s_pts, t_pts, indexing="ij")
-        vals = _pairwise_quad(self.wavelet, self.window, grid_s.ravel(), grid_t.ravel(),
-                              self.n_quad)
-        return vals.reshape(grid_s.shape)
+    def _cell_sum(self, s_pts: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
+        """Envelope kernel k(s_i, t_j), the sum of F_s^T conj(F_t) over the cell blocks."""
+        out = np.zeros((s_pts.size, t_pts.size), dtype=complex if self.wavelet.is_complex
+                       and self._wavelet_modulation == 0.0 else float)
+        for blocks in _cell_factors(self, [s_pts] if t_pts is s_pts else [s_pts, t_pts]):
+            out += blocks[0].T @ np.conj(blocks[-1])
+        return out
 
     @property
     def values(self) -> np.ndarray:
@@ -314,14 +317,14 @@ class SmoothedKernel:
             2j * np.pi * self.modulation * (self.grid[:, None] - self.grid[None, :]))
 
     def value_matrix(self, s_pts: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
-        """K(s_i, t_j) for arbitrary point sets, via the stored quadrature.
+        """K(s_i, t_j) for arbitrary point sets, by the cell rule of the grid matrix.
 
         Always carries the full kernel phase, independent of whether the
         stored matrix is phase factorized.
         """
         s_pts = np.asarray(s_pts, dtype=float)
         t_pts = np.asarray(t_pts, dtype=float)
-        mat = self._envelope_matrix(s_pts, t_pts)
+        mat = self._cell_sum(s_pts, t_pts)
         if self._wavelet_modulation != 0.0:
             mat = mat * np.exp(2j * np.pi * self._wavelet_modulation
                                * (s_pts[:, None] - t_pts[None, :]))
@@ -373,7 +376,3 @@ class ValidRegion:
     def __contains__(self, pair) -> bool:
         a, b = pair
         return bool(self.contains(a, b))
-
-
-def valid_region(alpha: float, kappa: float, T: float) -> ValidRegion:
-    return ValidRegion(alpha, kappa, T)

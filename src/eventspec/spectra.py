@@ -1,9 +1,10 @@
 """Continuous wavelet transforms of event streams and smoothed periodograms.
 
 The temporally smoothed wavelet periodogram Omega(a, b) is computed two
-ways: a direct double sum of the scaled kernel over event pairs, and the
-multi-wavelet expansion sum_l eta_l v_l v_l^H where v_l is the transform
-under eigen-wavelet l, one table gather and matrix product per stream
+ways: directly, as the time average of the rank-one periodogram over the
+smoothing window on the kernel's cell rule, and by the multi-wavelet
+expansion sum_l eta_l v_l v_l^H where v_l is the transform under
+eigen-wavelet l, one table gather and matrix product per stream
 (EigenSystem.summed_wavelets_at). The two agree to interpolation accuracy;
 the eigen route, O(events x L) per point, is the default for grid sweeps.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
 from .errors import ConfigError, RegionError, UndefinedCoherenceError, ValidationError
-from .kernels import SmoothedKernel, SmoothingWindow, ValidRegion
+from .kernels import MAX_FIELD_BYTES, SmoothedKernel, SmoothingWindow, ValidRegion, _cell_factors
 from .pointproc import EventStream
 from .wavelets import Wavelet
 
@@ -65,25 +66,24 @@ def _require_inside(width: float, stream: EventStream, a: float, b: float) -> No
 def smoothed_periodogram_direct(stream: EventStream, kernel: SmoothedKernel,
                                 a: float, b: float,
                                 check_region: bool = True) -> np.ndarray:
-    """Omega(a, b) by the kernel double sum over event pairs.
+    """Omega(a, b) as the time average of the rank-one periodogram.
 
-    Omega_ij = sum over events s of stream i and t of stream j of
-    K_{a,b}(s, t); only events inside the kernel support contribute.
+    Omega_ij = a^(-1) int h_kappa(u) g_i(u) g_j*(u) du with the transform
+    g_i(u) = sum_x e^{i 2 pi f x} r(x - u) over x = (t - b)/a, t the events of
+    stream i; it equals the kernel double sum over event pairs. On the kernel's
+    cell rule each event's column of F is phased and summed to g_i per block of
+    cells, and G G^H / a is added.
     """
     if check_region:
         _require_inside(kernel.width, stream, a, b)
     half = a * kernel.width / 2.0
     locals_ = [(stream.window(i, b - half, b + half) - b) / a for i in range(stream.p)]
-    p = stream.p
-    out = np.zeros((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(i, p):
-            if locals_[i].size and locals_[j].size:
-                block = kernel.value_matrix(locals_[i], locals_[j])
-                out[i, j] = block.sum() / a
-            if j > i:
-                out[j, i] = np.conj(out[i, j])
-    return out
+    phases = [np.exp(2j * np.pi * kernel.wavelet.modulation * x) for x in locals_]
+    out = np.zeros((stream.p, stream.p), dtype=complex)
+    for blocks in _cell_factors(kernel, locals_):
+        g = np.array([f @ phase for f, phase in zip(blocks, phases)])
+        out += g @ np.conj(g.T)
+    return out / a
 
 
 def smoothed_periodogram_eigen(stream: EventStream, system: EigenSystem,
@@ -131,11 +131,6 @@ def denormalize_coords(a_tilde: float, b_tilde: float, T: float,
                        alpha: float, kappa: float):
     """Inverse of normalize_coords."""
     return a_tilde * T / (alpha + kappa), b_tilde * T
-
-
-def analyzing_frequency(f0: float, a: float) -> float:
-    """Central analyzing frequency f0 / a of the wavelet at scale a."""
-    return f0 / a
 
 
 @dataclass(frozen=True)
@@ -197,10 +192,16 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
     """Evaluate Omega and gamma^2 on the grid, restricted to the triangle.
 
     Points outside the valid region are marked invalid and left as NaN.
-    Raises ConfigError when no grid point is valid.
+    Raises ConfigError for an empty grid, one whose omega would exceed
+    MAX_FIELD_BYTES, or one with no valid point.
     """
-    wav = config.wavelet
-    win = config.window
+    wav, win = config.wavelet, config.window
+    n_a = config.n_a if config.a_grid is None else np.size(config.a_grid)
+    n_b = config.n_b if config.b_grid is None else np.size(config.b_grid)
+    if min(n_a, n_b) < 1:
+        raise ConfigError(f"grids need at least one point each (n_a={n_a}, n_b={n_b})")
+    if n_a * n_b * stream.p ** 2 * 16 > MAX_FIELD_BYTES:
+        raise ConfigError(f"omega of an {n_a} x {n_b} grid exceeds {MAX_FIELD_BYTES} bytes")
     system = eigensystem(wav, win, config.n_points, config.energy_cutoff)
     region = ValidRegion(wav.alpha, win.kappa, stream.T)
 

@@ -133,6 +133,18 @@ class TestCoherenceCommand:
                     "--out", tmp_path]) == 3
         assert "n_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [("--n-a", 0), ("--n-a", -3), ("--n-b", 0),
+                                       ("--n-b", 10**9)])
+    def test_bad_grid_size_is_config_error(self, tmp_path, poisson_file, flags, monkeypatch,
+                                           capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid or omega allocated")
+
+        monkeypatch.setattr(np, "full", refuse)
+        monkeypatch.setattr(np, "geomspace", refuse)
+        assert run(["coherence", poisson_file, *flags, "--out", tmp_path]) == 2
+        assert "grid" in capsys.readouterr().err
+
     def test_grid_outside_triangle(self, tmp_path, poisson_file):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"a-grid": [50.0], "b-grid": [100.0]}))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eventspec import (SmoothedKernel, SmoothingWindow, ValidationError,
-                       Wavelet, degrees_of_freedom, dof_closed_form,
+                       Wavelet, dof_closed_form,
                        effective_frequency_response, eigensystem,
                        eigensystem_cached, eigensys, nystrom_decompose)
 from eventspec.studies import run_qq_coherence
@@ -21,6 +21,8 @@ class TestDecomposition:
 
     def test_rank_one_kernel(self, morlet):
         kern = SmoothedKernel.rank_one(morlet)
+        env = morlet.envelope(kern.grid)  # one cell of the cell rule: exactly r(s) r(t)
+        assert np.abs(kern.envelope_values - np.outer(env, env)).max() <= 1e-14 * env.max() ** 2
         system = nystrom_decompose(kern, energy_cutoff=1.0)
         assert system.eigenvalues[0] == pytest.approx(1.0, abs=1e-6)
         assert np.all(system.eigenvalues[1:] <= 1e-8)
@@ -73,8 +75,8 @@ class TestDiagnostics:
 
 class TestDegreesOfFreedom:
     def test_effective_dof_kappa20(self, morlet_sys20, mexhat_sys20):
-        assert degrees_of_freedom(morlet_sys20) == pytest.approx(8.31, abs=0.05)
-        assert degrees_of_freedom(mexhat_sys20) == pytest.approx(11.57, abs=0.05)
+        assert morlet_sys20.degrees_of_freedom() == pytest.approx(8.31, abs=0.05)
+        assert mexhat_sys20.degrees_of_freedom() == pytest.approx(11.57, abs=0.05)
 
     def test_rank_one_dof(self, morlet):
         system = nystrom_decompose(SmoothedKernel.rank_one(morlet))
@@ -97,7 +99,7 @@ class TestDegreesOfFreedom:
         # the closed form drops a positive O(1/kappa) boundary term, so the
         # eigenvalue-sum value sits above it
         closed = dof_closed_form(morlet, 20.0)
-        assert degrees_of_freedom(morlet_sys20) > closed
+        assert morlet_sys20.degrees_of_freedom() > closed
 
     def test_monotone_in_kappa(self):
         values = [eigensystem_cached("morlet", k).degrees_of_freedom()

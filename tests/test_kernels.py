@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from eventspec import (SmoothedKernel, SmoothingWindow, ValidationError,
-                       Wavelet, kernel_value, kernel_value_morlet_rect,
-                       scaled_kernel_value, valid_region)
+from eventspec import (EventStream, SmoothedKernel, SmoothingWindow, ValidRegion,
+                       ValidationError, Wavelet, kernel_value, kernel_value_morlet_rect,
+                       nystrom_decompose, scaled_kernel_value, smoothed_periodogram_direct)
 from eventspec import kernels
 from eventspec.quadrature import simpson_rule
 
@@ -178,21 +178,42 @@ class TestGridMatrix:
 
     def test_grid_build_never_calls_pairwise_rule(self, monkeypatch, morlet):
         def refuse(*args, **kwargs):
-            raise AssertionError("_pairwise_quad reached by a grid build")
+            raise AssertionError("_pairwise_quad reached outside kernel_value")
 
         monkeypatch.setattr(kernels, "_pairwise_quad", refuse)
         for wavelet, window in [(morlet, SmoothingWindow.rectangular(10.0)),
                                 (Wavelet.mexican_hat(), cos2_window(6.0)),
                                 (tabulated_gauss(), SmoothingWindow.rectangular(4.0))]:
             kern = SmoothedKernel(wavelet, window, n_points=128)
-        with pytest.raises(AssertionError):  # the arbitrary-point route still uses it
-            kern.value_matrix(np.array([0.1]), np.array([0.2]))
+        # every sampled kernel value comes from the cell rule; only the oracle differs
+        kern.value_matrix(np.array([0.1]), np.array([0.2]))
+        scaled_kernel_value(kern, 2.0, 1.0, 0.4, -0.3)
+        nystrom_decompose(kern).eigen_wavelet_value(0, np.array([0.1, 2.5]))
+        stream = EventStream([[49.0, 50.5], [5.0, 95.0]], T=100.0)  # stream 2 outside the support
+        om = smoothed_periodogram_direct(stream, kern, 2.0, 50.0)
+        assert om[0, 0].real > 0 and np.all(om[1] == 0) and np.all(om[:, 1] == 0)
+        with pytest.raises(AssertionError):
+            kernel_value(kern.wavelet, kern.window, 0.1, 0.2)
 
     def test_grid_size_capped_before_allocation(self, morlet, rect10, monkeypatch):
         monkeypatch.setattr(kernels, "midpoint_grid", None)  # any use would raise TypeError
         for n in (kernels.MAX_GRID_POINTS + 1, 10**12, 15):
             with pytest.raises(ValidationError):
                 SmoothedKernel(morlet, rect10, n_points=n)
+
+
+class TestValueMatrix:
+    def test_tabulated_wavelet_matches_fine_oracle(self):
+        # a spline wavelet with knots coarser than the grid step: the cell rule
+        # caps every cell at that step, so each sees at most two cubic pieces
+        xs = np.linspace(-4.0, 4.0, 161)
+        wav = Wavelet.tabulated(xs, Wavelet.morlet()(xs))
+        win = SmoothingWindow.rectangular(10.0)
+        kern = SmoothedKernel(wav, win)
+        s, t = np.random.default_rng(7).uniform(-kern.width / 2, kern.width / 2, (2, 40))
+        ss, tt = np.meshgrid(s, t, indexing="ij")
+        ref = kernel_value(wav, win, ss, tt, n_quad=4000)
+        assert np.abs(kern.value_matrix(s, t) - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 class TestScaledKernel:
@@ -221,16 +242,16 @@ class TestScaledKernel:
 class TestValidRegion:
     def test_apex_is_member(self):
         T, alpha, kappa = 100.0, 8.0, 10.0
-        region = valid_region(alpha, kappa, T)
+        region = ValidRegion(alpha, kappa, T)
         assert region.a_max == pytest.approx(T / (alpha + kappa))
         assert region.contains(region.a_max, T / 2.0)
 
     def test_beyond_apex_excluded(self):
-        region = valid_region(8.0, 10.0, 100.0)
+        region = ValidRegion(8.0, 10.0, 100.0)
         assert not region.contains(region.a_max + 1e-6, 50.0)
 
     def test_membership_matches_inequalities(self, rng):
-        region = valid_region(8.0, 10.0, 100.0)
+        region = ValidRegion(8.0, 10.0, 100.0)
         for _ in range(50):
             a = rng.uniform(0.1, 6.0)
             b = rng.uniform(0.0, 100.0)
@@ -238,7 +259,7 @@ class TestValidRegion:
             assert bool(region.contains(a, b)) == expected
 
     def test_tuple_membership(self):
-        region = valid_region(8.0, 10.0, 100.0)
+        region = ValidRegion(8.0, 10.0, 100.0)
         assert (region.a_max / 2, 50.0) in region
         assert (region.a_max, 10.0) not in region
 

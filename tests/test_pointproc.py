@@ -4,7 +4,7 @@ from scipy import stats as sstats
 
 from eventspec import pointproc
 from eventspec import (EventStream, HawkesParams, ParseError,
-                       ValidationError,
+                       ValidationError, Wavelet,
                        coherence_theoretical, hawkes_spectrum, load_csv,
                        poisson_spectrum, save_csv, simulate_hawkes,
                        simulate_piecewise, simulate_poisson)
@@ -186,6 +186,42 @@ class TestTimeRescaling:
             increments.extend(compensator_increments(stream, par))
         assert len(increments) > 100_000
         assert sstats.kstest(increments, "expon").pvalue > 0.01
+
+
+class TestWaveletPower:
+    def test_mean_power_matches_hawkes_spectrum(self):
+        """Monte Carlo E|w(a, b)|^2 = a lambda^2 |Psi(0)|^2 + a int |Psi(a f)|^2 S(f) df.
+
+        At 1/a = beta / (2 pi) the Morlet band sits where S(f) turns with the
+        decay rate: delays 10 % short move the mean power by about 6 %, some
+        7 standard errors over 20,000 non-overlapping translations.
+        """
+        par = HawkesParams.from_dict(UNIVARIATE)
+        wav = Wavelet.morlet()
+        lam = float(par.stationary_rate()[0])
+        a = 2.0 * np.pi / float(par.beta[0, 0])
+        # Psi(nu) = int psi(x) e^{-i 2 pi nu x} dx over the truncated, mean-projected wavelet
+        x, wx = np.polynomial.legendre.leggauss(400)
+        x, wx = x * wav.alpha / 2.0, wx * wav.alpha / 2.0
+        psi = wav(x)
+        nu = np.linspace(-10.0, 10.0, 16001)
+        power = np.abs(np.exp(-2j * np.pi * np.outer(nu, x)) @ (wx * psi)) ** 2
+        excess = hawkes_spectrum(par, nu / a)[:, 0, 0].real - lam  # S - lambda decays as 1/f^2
+        theory = (a * lam**2 * abs(wx @ psi) ** 2 + lam * (wx @ np.abs(psi) ** 2)
+                  + np.trapezoid(power * excess, nu))
+
+        T, burn = 1.0e6, 50.0  # burn-in: the simulation starts with no history
+        width = a * wav.alpha
+        n_win = int((T - burn) // width)
+        t = simulate_hawkes(par, T, seed=2718).events[0]
+        t = t[(t >= burn) & (t < burn + n_win * width)]
+        k = ((t - burn) // width).astype(int)
+        vals = np.conj(wav((t - burn - (k + 0.5) * width) / a)) / np.sqrt(a)
+        w = (np.bincount(k, vals.real, n_win) + 1j * np.bincount(k, vals.imag, n_win))
+        sample = np.abs(w) ** 2
+        se = sample.std(ddof=1) / np.sqrt(n_win)
+        assert n_win >= 19_000
+        assert abs(sample.mean() - theory) <= 4.0 * se
 
 
 class TestPiecewise:

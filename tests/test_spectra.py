@@ -8,7 +8,7 @@ import pytest
 
 from eventspec import (ConfigError, EventStream, FieldConfig,
                        RegionError, SmoothedKernel, SmoothingWindow,
-                       UndefinedCoherenceError, Wavelet, analyzing_frequency,
+                       UndefinedCoherenceError, Wavelet,
                        coherence, cwt, denormalize_coords, eigensystem,
                        eigensystem_cached, field, normalize_coords, nystrom_decompose,
                        periodogram, simulate_poisson,
@@ -92,6 +92,19 @@ class TestSmoothedPeriodogram:
         rel = np.linalg.norm(om_d - om_e) / np.linalg.norm(om_d)
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("kappa", [5.0, 10.0])
+    def test_direct_matches_eigen_tabulated_wavelet(self, kappa):
+        # criterion 4's bound for a spline wavelet with knots coarser than the grid step
+        xs = np.linspace(-4.0, 4.0, 161)
+        wav = Wavelet.tabulated(xs, Wavelet.morlet()(xs))
+        system = eigensystem(wav, SmoothingWindow.rectangular(kappa), energy_cutoff=1.0 - 1e-8)
+        s = simulate_poisson([3.0, 3.0], 120.0, seed=31)
+        for a_t, b_t in [(0.5, 0.5), (0.3, 0.3), (0.8, 0.55)]:
+            a, b = denormalize_coords(a_t, b_t, 120.0, wav.alpha, kappa)
+            om_d = smoothed_periodogram_direct(s, system.kernel, a, b)
+            om_e = smoothed_periodogram_eigen(s, system, a, b)
+            assert np.linalg.norm(om_d - om_e) <= 1e-6 * np.linalg.norm(om_d)
+
     @pytest.mark.parametrize("kind", ["morlet", "mexhat"])
     def test_matches_spline_oracle_route(self, kind, spline_oracle_cwt):
         system = eigensystem_cached(kind, 10.0)
@@ -162,9 +175,6 @@ class TestCoordinates:
         a, _ = denormalize_coords(0.8, 0.5, 100.0, 8.0, 20.0)
         assert a == pytest.approx(80.0 / 28.0, abs=1e-12)
 
-    def test_analyzing_frequency(self):
-        assert analyzing_frequency(1.0, 4.0) == 0.25
-
 
 class TestField:
     def make_config(self, **kw):
@@ -180,6 +190,19 @@ class TestField:
                                b_grid=np.array([25.0]))
         with pytest.raises(ConfigError):
             field(s, cfg)
+
+    @pytest.mark.parametrize("sizes", [dict(n_a=0), dict(n_b=-3), dict(a_grid=np.array([])),
+                                       dict(n_a=10**6, n_b=10**6), dict(n_a=4097, n_b=4096)])
+    def test_bad_grid_size_rejected_before_allocation(self, sizes, monkeypatch):
+        s = simulate_poisson([2.0, 2.0], 50.0, seed=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid or omega allocated")
+
+        monkeypatch.setattr(np, "full", refuse)
+        monkeypatch.setattr(np, "geomspace", refuse)
+        with pytest.raises(ConfigError):
+            field(s, self.make_config(**sizes))
 
     def test_singleton_grid_matches_pointwise(self):
         s = simulate_poisson([2.0, 2.0], 100.0, seed=4)
