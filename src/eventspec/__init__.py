@@ -18,8 +18,7 @@ from .inference import (CoherenceDistribution, Flavor, StationarityConfig,
                         hyp2f1, lrt_statistic, null_percentile,
                         stationarity_test)
 from .kernels import (SmoothedKernel, SmoothingWindow, ValidRegion,
-                      WindowKind, kernel_value, kernel_value_morlet_rect,
-                      scaled_kernel_value)
+                      WindowKind, kernel_value, scaled_kernel_value)
 from .pointproc import (EventStream, HawkesParams, coherence_theoretical,
                         hawkes_spectrum, load_csv, poisson_spectrum, save_csv,
                         simulate_hawkes, simulate_piecewise, simulate_poisson)
@@ -42,7 +41,7 @@ __all__ = [
     "coherence_theoretical", "cwt",
     "denormalize_coords", "dof_closed_form", "effective_frequency_response",
     "eigen_cwt", "eigensystem", "eigensystem_cached", "field", "hawkes_spectrum",
-    "hyp2f1", "kernel_value", "kernel_value_morlet_rect", "load_csv",
+    "hyp2f1", "kernel_value", "load_csv",
     "lrt_statistic", "normalize_coords", "null_percentile", "nystrom_decompose",
     "periodogram", "poisson_spectrum", "save_csv", "scaled_kernel_value",
     "simulate_hawkes", "simulate_piecewise", "simulate_poisson",

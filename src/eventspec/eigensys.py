@@ -9,7 +9,10 @@ by w^(-1/2).
 
 Eigen-wavelet envelopes are kept as a table of cubic pieces; for a modulated
 wavelet the analytic phase factor e^{i 2 pi f x} is attached at evaluation
-time, so the interpolated quantity is smooth and slowly varying.
+time, so the interpolated quantity is smooth and slowly varying. The pieces
+form the not-a-knot cubic spline on uniform knots (de Boor, A Practical Guide to
+Splines, ch. IV): the slopes solve s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i)
+for secants m_i, ends s_0 + 2 s_1 = (5 m_0 + m_1)/2 and mirror, by one elimination.
 
 ``eigensystem(wavelet, window, n_points, energy_cutoff)`` is the one
 constructor the package uses. It memoizes by value in a bounded LRU cache
@@ -73,12 +76,8 @@ class EigenSystem:
                             "hermitian_asymmetry": float(asymmetry),
                             "retained_energy": self.retained_energy,
                             "min_retained_eigenvalue": float(eigenvalues[self.n_retained - 1])}
-        from scipy.interpolate import CubicSpline  # slow to import; used only here
-        spline = CubicSpline(*self._refined_samples())
-        # per interval, the coefficients of 1, dx, dx^2, dx^3 (dx from its left knot)
-        self._table = np.ascontiguousarray(spline.c[::-1].transpose(1, 0, 2))
-        self._knots = spline.x
-        self._step = (spline.x[-1] - spline.x[0]) / (spline.x.size - 1)
+        self._knots, samples = self._refined_samples()
+        self._table, self._step = _not_a_knot_table(self._knots, samples)
 
     def _refined_samples(self):
         # Envelope samples decay to (numerically) zero at the support edges,
@@ -172,6 +171,29 @@ class EigenSystem:
     def __repr__(self) -> str:
         return (f"EigenSystem({self.kernel!r}, retained={self.n_retained}, "
                 f"dof={self.degrees_of_freedom():.3f})")
+
+
+def _not_a_knot_table(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """CubicSpline's (n - 1, 4, L) coefficients of 1, dx, dx^2, dx^3, and the knot step."""
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("eigen-wavelet samples are not finite")
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    m = np.diff(y, axis=0) / step
+    s = np.concatenate([0.5 * (5.0 * m[:1] + m[1:2]), 3.0 * (m[:-1] + m[1:]),
+                        0.5 * (m[-2:-1] + 5.0 * m[-1:])])
+    n = len(s)
+    lower, upper = [1.0] * (n - 2) + [2.0], [2.0] + [1.0] * (n - 2)
+    diag = [1.0] + [4.0] * (n - 2) + [1.0]
+    rows = list(s)  # views of s; Thomas elimination, scalar pivots shared by all L columns
+    for i in range(1, n):
+        ratio = lower[i - 1] / diag[i - 1]
+        diag[i] -= ratio * upper[i - 1]
+        rows[i] -= ratio * rows[i - 1]
+    s /= np.array(diag)[:, None]
+    for i in range(n - 2, -1, -1):
+        rows[i] -= upper[i] / diag[i] * rows[i + 1]
+    t = (s[:-1] + s[1:] - 2.0 * m) / step
+    return np.stack([y[:-1], s[:-1], (m - s[:-1]) / step - t, t / step], axis=1), step
 
 
 def nystrom_decompose(kernel: SmoothedKernel,

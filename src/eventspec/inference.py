@@ -19,8 +19,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
-from scipy.special import gammaincc, gammaln
 
 from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
 from .errors import ConfigError, DegenerateSegmentError, ValidationError
@@ -28,6 +26,8 @@ from .kernels import SmoothingWindow
 from .pointproc import EventStream
 from .spectra import smoothed_periodogram_eigen
 from .wavelets import Wavelet
+
+MAX_J = 12  # finest test scale; scales 1..J take 2^(J+1) - 2 (8,190) segment periodograms
 
 
 class Flavor(enum.Enum):
@@ -42,6 +42,7 @@ def hyp2f1(a1: float, a2: float, b1: float, z):
 
     Elementwise over array z; scalar in, float out.
     """
+    from scipy import special  # slow to import; kept off the CLI's import path
     if b1 <= 0:
         raise ValidationError("hyp2f1 requires b1 > 0")
     z_arr = np.asarray(z, dtype=float)
@@ -86,8 +87,8 @@ class CoherenceDistribution:
         integrand = np.empty_like(y)
         integrand[1:] = self.pdf(x[1:]) * 2.0 * y[1:]
         if self.flavor is Flavor.REAL:
-            logc = (gammaln(self.n / 2.0) - gammaln(0.5)
-                    - gammaln((self.n - 1.0) / 2.0))
+            logc = (math.lgamma(self.n / 2.0) - math.lgamma(0.5)
+                    - math.lgamma((self.n - 1.0) / 2.0))
             integrand[0] = 2.0 * math.exp(logc) * (1.0 - self.rho2) ** (self.n / 2.0)
         else:
             integrand[0] = 0.0
@@ -115,7 +116,7 @@ def coherence_density(dist: CoherenceDistribution, x) -> np.ndarray | float:
         base = (n - 1.0) * (1.0 - r2) ** n
         out = base * (1.0 - x_arr) ** (n - 2.0) * hyp2f1(n, n, 1.0, r2 * x_arr)
     else:
-        logc = gammaln(n / 2.0) - gammaln(0.5) - gammaln((n - 1.0) / 2.0)
+        logc = math.lgamma(n / 2.0) - math.lgamma(0.5) - math.lgamma((n - 1.0) / 2.0)
         base = math.exp(logc) * (1.0 - r2) ** (n / 2.0)
         with np.errstate(divide="ignore"):
             lead = x_arr ** -0.5
@@ -139,7 +140,8 @@ def null_percentile(flavor: Flavor, n: float, q: float) -> float:
         raise ValidationError("null percentile requires n > 1")
     if flavor is Flavor.COMPLEX:
         return 1.0 - (1.0 - q) ** (1.0 / (n - 1.0))
-    return float(special.betaincinv(0.5, (n - 1.0) / 2.0, q))
+    from scipy.special import betaincinv  # slow to import; the complex flavor needs none
+    return float(betaincinv(0.5, (n - 1.0) / 2.0, q))
 
 
 def chi2_sf(x: float, dof: float) -> float:
@@ -148,6 +150,7 @@ def chi2_sf(x: float, dof: float) -> float:
         raise ValidationError("chi2_sf requires x >= 0")
     if dof <= 0:
         raise ValidationError("chi2_sf requires dof > 0")
+    from scipy.special import gammaincc  # slow to import; kept off the CLI's import path
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 
@@ -255,12 +258,12 @@ class StationarityConfig:
     energy_cutoff: float = DEFAULT_ENERGY_CUTOFF
 
     def validate(self) -> None:
-        if self.J < 1:
-            raise ConfigError("J must be at least 1")
+        if not 1 <= self.J <= MAX_J:
+            raise ConfigError(f"J must lie in [1, {MAX_J}]")
         if not 0.0 < self.c < 0.5:
             raise ConfigError("c must lie in (0, 1/2)")
-        if self.kappa <= 0:
-            raise ConfigError("kappa must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError("kappa must be positive and finite")
 
     def resolve_system(self, T: float) -> EigenSystem:
         """Eigensystem for horizon T at kappa_tilde = kappa * T^c."""

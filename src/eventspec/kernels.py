@@ -1,9 +1,8 @@
 """Smoothing windows and the Hermitian smoothing kernel K(s, t).
 
-K(s, t) = integral over u of h_kappa(u) psi(s - u) psi*(t - u), evaluated
-either by quadrature (any wavelet/window pair) or by the closed erf form
-available for the Morlet wavelet with a rectangular window. K has support
-inside the square (-(alpha+kappa)/2, (alpha+kappa)/2)^2 and unit trace.
+K(s, t) = integral over u of h_kappa(u) psi(s - u) psi*(t - u), evaluated by
+quadrature for any wavelet/window pair. K has support inside the square
+(-(alpha+kappa)/2, (alpha+kappa)/2)^2 and unit trace.
 
 Every sampled value of k comes from one Gauss-Legendre cell rule in u,
 _cell_factors: the grid matrix, value_matrix (so the Nystrom extension and
@@ -27,7 +26,6 @@ import enum
 import functools
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ParseError, ValidationError
 from .quadrature import midpoint_grid, simpson_rule
@@ -54,8 +52,8 @@ class SmoothingWindow:
     """
 
     def __init__(self, kind: WindowKind, kappa: float, unit_density=None):
-        if kappa <= 0:
-            raise ValidationError("kappa must be positive")
+        if not 0 < kappa < np.inf:
+            raise ValidationError("kappa must be positive and finite")
         self.kind = kind
         self.kappa = float(kappa)
         self._unit = unit_density
@@ -235,28 +233,6 @@ def kernel_value(wavelet: Wavelet, window: SmoothingWindow, s, t,
     if np.isscalar(s) and np.isscalar(t):
         return out.reshape(-1)[0]
     return out
-
-
-def kernel_value_morlet_rect(kappa: float, s, t):
-    """Closed form of K(s, t) for the (untruncated) Morlet wavelet and a
-    rectangular window:
-
-        K(s, t) = k(s, t) e^{-i 2 pi (t - s)}
-        k(s, t) = (2 kappa)^(-1) e^{-(t-s)^2/4}
-                  [erf{(kappa - (s+t))/2} + erf{(kappa + (s+t))/2}]
-
-    The erf arguments and the Gaussian width follow from direct integration
-    of the defining kernel; the quadrature path agrees with this expression
-    to quadrature accuracy once the truncation support is wide enough.
-    """
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ssum = s + t
-    k = (np.exp(-0.25 * (t - s) ** 2) / (2.0 * kappa)
-         * (erf((kappa - ssum) / 2.0) + erf((kappa + ssum) / 2.0)))
-    return k * np.exp(-2j * np.pi * (t - s))
 
 
 class SmoothedKernel:

@@ -17,7 +17,6 @@ import math
 import os
 
 import numpy as np
-from scipy.special import ndtri
 
 from .eigensys import EigenSystem, eigensystem_cached
 from .errors import ConfigError
@@ -56,6 +55,7 @@ def _replicate_seed(master: int, index: int) -> np.random.SeedSequence:
 
 def qq_correlation(sample: np.ndarray) -> float:
     """Correlation between ordered sample and standard-normal quantiles."""
+    from scipy.special import ndtri  # slow to import; kept off the CLI's import path
     n = sample.size
     probs = (np.arange(1, n + 1) - 0.5) / n
     return float(np.corrcoef(np.sort(sample), ndtri(probs))[0, 1])

@@ -72,8 +72,8 @@ class Wavelet:
 
     def __init__(self, kind: WaveletKind, alpha: float, envelope, modulation: float,
                  envelope_complex: bool, label: str):
-        if alpha <= 0:
-            raise ValidationError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValidationError("alpha must be positive and finite")
         self.kind = kind
         self.alpha = float(alpha)
         self.modulation = float(modulation)

@@ -21,3 +21,22 @@ def test_cli_import_leaves_out_interpolate_and_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_morlet_cli_runs_load_no_scipy(tmp_path):
+    # the spline table is built in numpy and scipy.special is imported only
+    # where a function needs it, so a Morlet coherence or eigs run never
+    # imports scipy; neither does importing the studies
+    events = tmp_path / "events.csv"
+    eventspec.save_csv(eventspec.simulate_poisson([2.0, 2.0], 100.0, seed=3), events)
+    code = ("import contextlib, io, sys, eventspec.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert eventspec.cli.main(['coherence', {str(events)!r}, '--n-a', '4', "
+            f"'--n-b', '8', '--out', {str(tmp_path)!r}]) == 0\n"
+            f"    assert eventspec.cli.main(['eigs', '--out', {str(tmp_path)!r}]) == 0\n"
+            "from eventspec import studies\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eventspec.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

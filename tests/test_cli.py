@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from eventspec import load_csv
+from eventspec import inference, load_csv
 from eventspec.cli import main
+from eventspec.inference import MAX_J
 
 
 def run(argv):
@@ -152,6 +153,31 @@ class TestCoherenceCommand:
                     "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["coherence", "EVENTS", "--kappa", "nan"], 3),
+    (["coherence", "EVENTS", "--kappa", "inf"], 3),
+    (["coherence", "EVENTS", "--alpha", "nan"], 3),
+    (["eigs", "--kappa", "nan"], 3),
+    (["eigs", "--kappa", "inf"], 3),
+    (["eigs", "--alpha", "nan"], 3),
+    (["test-stationarity", "EVENTS", "--kappa", "nan"], 2),
+    (["test-stationarity", "EVENTS", "--kappa", "inf"], 2),
+    (["test-stationarity", "EVENTS", "--alpha", "nan"], 3),
+])
+def test_non_finite_parameter_has_documented_exit_code(tmp_path, poisson_file, capsys,
+                                                       argv, code):
+    argv = [poisson_file if a == "EVENTS" else a for a in argv]
+    assert run([*argv, "--out", tmp_path]) == code
+    assert "positive and finite" in capsys.readouterr().err
+
+
+def test_tied_timestamps_are_data_error(tmp_path, capsys):
+    path = tmp_path / "tied.csv"
+    path.write_text("# p=2 T=10.0\n1,1.5\n2,2.0\n1,3.25\n1,3.25\n2,4.0\n")
+    assert run(["coherence", path, "--out", tmp_path]) == 3
+    assert "strictly increasing" in capsys.readouterr().err
+
+
 class TestPeriodogramCommand:
     def test_writes_field(self, tmp_path, poisson_file):
         assert run(["periodogram", poisson_file, "--kappa", 10, "--n-a", 3,
@@ -173,6 +199,18 @@ class TestStationarityCommand:
     def test_invalid_j_is_config_error(self, tmp_path, poisson_file):
         assert run(["test-stationarity", poisson_file, "--J", 0,
                     "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("J", [MAX_J + 1, 40])
+    def test_j_above_cap_is_config_error_before_any_build(self, tmp_path, poisson_file,
+                                                         monkeypatch, capsys, J):
+        # 2^40 segments per scale would never finish; the cap must stop it first
+        def refuse(*args, **kwargs):
+            raise AssertionError("stationarity test started")
+
+        monkeypatch.setattr(inference, "eigensystem", refuse)
+        monkeypatch.setattr(inference, "smoothed_periodogram_eigen", refuse)
+        assert run(["test-stationarity", poisson_file, "--J", J, "--out", tmp_path]) == 2
+        assert f"J must lie in [1, {MAX_J}]" in capsys.readouterr().err
 
 
 class TestEigsCommand:

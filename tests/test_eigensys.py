@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eventspec import (SmoothedKernel, SmoothingWindow, ValidationError,
+from eventspec import (NumericalError, SmoothedKernel, SmoothingWindow, ValidationError,
                        Wavelet, dof_closed_form,
                        effective_frequency_response, eigensystem,
                        eigensystem_cached, eigensys, nystrom_decompose)
@@ -217,6 +217,30 @@ class TestTableEvaluator:
         x = np.linspace(-9.5, 9.5, 41)
         morlet_sys10.eigen_wavelets_at(x)
         morlet_sys10.summed_wavelets_at(x)
+
+
+class TestNotAKnotTable:
+    """The numpy-built table against scipy's CubicSpline on the same refined samples."""
+
+    @staticmethod
+    def assert_matches_cubic_spline(system):
+        from scipy.interpolate import CubicSpline
+        ref = CubicSpline(*system._refined_samples()).c[::-1].transpose(1, 0, 2)
+        assert system._table.shape == ref.shape
+        assert np.abs(system._table - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_matches_cubic_spline(self, table_system):
+        self.assert_matches_cubic_spline(table_system)
+
+    @pytest.mark.parametrize("kappa", [5.0, 20.0])
+    def test_matches_cubic_spline_morlet(self, kappa):
+        self.assert_matches_cubic_spline(eigensystem_cached("morlet", kappa))
+
+    def test_nan_sample_is_numerical_error(self, morlet_sys10):
+        x, y = morlet_sys10._refined_samples()
+        y[100, 3] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            eigensys._not_a_knot_table(x, y)
 
 
 class TestEigenWaveletValues:

@@ -3,10 +3,11 @@ import pytest
 from scipy.special import erf
 
 from eventspec import (EventStream, SmoothedKernel, SmoothingWindow, ValidRegion,
-                       ValidationError, Wavelet, kernel_value, kernel_value_morlet_rect,
+                       ValidationError, Wavelet, kernel_value,
                        nystrom_decompose, scaled_kernel_value, smoothed_periodogram_direct)
 from eventspec import kernels
 from eventspec.quadrature import simpson_rule
+from oracles import kernel_value_morlet_rect
 
 
 @pytest.fixture(scope="module")
