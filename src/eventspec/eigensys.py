@@ -13,6 +13,8 @@ time, so the interpolated quantity is smooth and slowly varying. The pieces
 form the not-a-knot cubic spline on uniform knots (de Boor, A Practical Guide to
 Splines, ch. IV): the slopes solve s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i)
 for secants m_i, ends s_0 + 2 s_1 = (5 m_0 + m_1)/2 and mirror, by one elimination.
+The Nystrom extension phi_l(x) = eta_l^(-1) sum_j w K(x, s_j) phi_l(s_j) the
+table approximates, and sum_l eta_l |Phi_l(f)|^2, are test oracles (tests/oracles.py).
 
 ``eigensystem(wavelet, window, n_points, energy_cutoff)`` is the one
 constructor the package uses. It memoizes by value in a bounded LRU cache
@@ -149,25 +151,6 @@ class EigenSystem:
         sums = weights.view(float).reshape(-1, 2).T @ rows.reshape(-1, self.n_retained)
         return sums[0] + 1j * sums[1]
 
-    def eigen_wavelet_value(self, l: int, x) -> complex | np.ndarray:
-        """Nystrom extension of eigen-wavelet l at arbitrary points.
-
-        phi_l(x) = (1/eta_l) * sum_j w K(x, s_j) phi_l(s_j); agrees with the
-        stored samples exactly at grid points.
-        """
-        if not 0 <= l < self.n_retained:
-            raise IndexError(f"eigen-wavelet index {l} beyond retained rank "
-                             f"{self.n_retained}")
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        rows = self.kernel.value_matrix(x_arr, self.grid)
-        full_l = self.vectors[:, l]
-        if self.modulation != 0.0:
-            full_l = full_l * np.exp(2j * np.pi * self.modulation * self.grid)
-        out = (rows @ full_l) * self.weight / self.eigenvalues[l]
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return out[0]
-        return out
-
     def __repr__(self) -> str:
         return (f"EigenSystem({self.kernel!r}, retained={self.n_retained}, "
                 f"dof={self.degrees_of_freedom():.3f})")
@@ -245,25 +228,6 @@ def dof_closed_form(wavelet: Wavelet, kappa: float, n_quad: int = 4097) -> float
     p = autocorrelation(wavelet, x)
     energy = float(w @ np.abs(p) ** 2)
     return kappa / energy
-
-
-def effective_frequency_response(system: EigenSystem, f) -> np.ndarray | float:
-    """sum_l eta_l |Phi_l(f)|^2, the energy response of the eigen system.
-
-    Converges to |Psi(f)|^2 of the generating wavelet as the energy cutoff
-    approaches one.
-    """
-    f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    full = system.vectors
-    if system.modulation != 0.0:
-        full = full * np.exp(2j * np.pi * system.modulation * system.grid)[:, None]
-    # direct Fourier sum at arbitrary frequencies
-    expo = np.exp(-2j * np.pi * f_arr[:, None] * system.grid[None, :])
-    transforms = expo @ full * system.weight
-    out = (np.abs(transforms) ** 2) @ system.retained_eigenvalues
-    if np.isscalar(f) or np.asarray(f).ndim == 0:
-        return float(out[0])
-    return out
 
 
 def eigensystem(wavelet: Wavelet, window: SmoothingWindow,

@@ -5,18 +5,17 @@ quadrature for any wavelet/window pair. K has support inside the square
 (-(alpha+kappa)/2, (alpha+kappa)/2)^2 and unit trace.
 
 Every sampled value of k comes from one Gauss-Legendre cell rule in u,
-_cell_factors: the grid matrix, value_matrix (so the Nystrom extension and
-scaled_kernel_value) and spectra.smoothed_periodogram_direct. Cells wider than
-the grid step are split: a few sparse points otherwise leave cells as wide as
-the window, 1.6e-4 off. It agrees with a fine per-pair rule to ~3e-13 of
-max|K| (~1e-8 for a spline-tabulated wavelet); that rule, _pairwise_quad, is
-kept only behind kernel_value, the reference path and test oracle.
+_cell_factors: the grid matrix here, and the off-grid values and the direct
+periodogram of the test oracles (tests/oracles.py). Cells wider than the grid
+step are split: a few sparse points otherwise leave cells as wide as the
+window, 1.6e-4 off. It agrees with a fine per-pair rule to ~3e-13 of max|K|
+(~1e-8 for a spline-tabulated wavelet); that rule, _pairwise_quad, is kept
+only behind kernel_value, the reference path.
 
 For a wavelet with an analytic phase factor, psi(t) = e^{i 2 pi f t} r(t),
 the kernel factorizes as K(s, t) = e^{i 2 pi f (s - t)} k(s, t) with k the
 real symmetric kernel of the envelope r. SmoothedKernel stores k and the
-modulation frequency in that case so downstream eigendecompositions can
-stay real.
+modulation frequency in that case so downstream eigendecompositions stay real.
 """
 
 from __future__ import annotations
@@ -239,13 +238,12 @@ class SmoothedKernel:
     """K sampled on a uniform midpoint grid over its support square.
 
     When the wavelet carries an analytic phase factor the stored matrix is
-    the real envelope kernel k and the phase is attached on demand, halving
-    memory and keeping later eigendecompositions real.
+    the real envelope kernel k, and the eigen-wavelets attach the phase when
+    evaluated, halving memory and keeping the eigensolve real.
     """
 
     def __init__(self, wavelet: Wavelet, window: SmoothingWindow,
-                 n_points: int = DEFAULT_GRID_POINTS,
-                 phase_factorized: bool = True):
+                 n_points: int = DEFAULT_GRID_POINTS):
         self.wavelet = wavelet
         self.window = window
         self.width = wavelet.alpha + window.kappa
@@ -254,57 +252,18 @@ class SmoothedKernel:
             raise ValidationError(f"n_points must lie in [16, {MAX_GRID_POINTS}]")
         self.grid, self.weight = midpoint_grid(-self.width / 2.0, self.width / 2.0,
                                                self.n_points)
-        # With phase_factorized unset, the analytic phase is folded into the
-        # stored matrix and downstream eigensolves run in complex arithmetic;
-        # this is the cross-check path for the factorized (real) default.
-        self.modulation = wavelet.modulation if phase_factorized else 0.0
-        self._wavelet_modulation = wavelet.modulation
+        self.modulation = wavelet.modulation
         self.envelope_values = self._cell_sum(self.grid, self.grid)
-        if not phase_factorized and wavelet.modulation != 0.0:
-            phase = np.exp(2j * np.pi * wavelet.modulation
-                           * (self.grid[:, None] - self.grid[None, :]))
-            self.envelope_values = self.envelope_values * phase
-
-    @classmethod
-    def rank_one(cls, wavelet: Wavelet, n_points: int = DEFAULT_GRID_POINTS) -> "SmoothedKernel":
-        """Degenerate kernel psi(s) psi*(t), the single-point-window limit.
-
-        Useful as the exactly rank-one reference case for eigensolvers: the
-        window support is one cell of the cell rule, with sum w h = 1.
-        """
-        return cls(wavelet, SmoothingWindow.rectangular(1e-12), n_points)
 
     # -- evaluation -----------------------------------------------------
 
     def _cell_sum(self, s_pts: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
         """Envelope kernel k(s_i, t_j), the sum of F_s^T conj(F_t) over the cell blocks."""
         out = np.zeros((s_pts.size, t_pts.size), dtype=complex if self.wavelet.is_complex
-                       and self._wavelet_modulation == 0.0 else float)
+                       and self.modulation == 0.0 else float)
         for blocks in _cell_factors(self, [s_pts] if t_pts is s_pts else [s_pts, t_pts]):
             out += blocks[0].T @ np.conj(blocks[-1])
         return out
-
-    @property
-    def values(self) -> np.ndarray:
-        """Full (possibly complex) sampled kernel matrix."""
-        if self.modulation == 0.0:
-            return self.envelope_values
-        return self.envelope_values * np.exp(
-            2j * np.pi * self.modulation * (self.grid[:, None] - self.grid[None, :]))
-
-    def value_matrix(self, s_pts: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
-        """K(s_i, t_j) for arbitrary point sets, by the cell rule of the grid matrix.
-
-        Always carries the full kernel phase, independent of whether the
-        stored matrix is phase factorized.
-        """
-        s_pts = np.asarray(s_pts, dtype=float)
-        t_pts = np.asarray(t_pts, dtype=float)
-        mat = self._cell_sum(s_pts, t_pts)
-        if self._wavelet_modulation != 0.0:
-            mat = mat * np.exp(2j * np.pi * self._wavelet_modulation
-                               * (s_pts[:, None] - t_pts[None, :]))
-        return mat
 
     def trace_estimate(self) -> float:
         return float(self.weight * np.sum(np.real(np.diag(self.envelope_values))))
@@ -312,16 +271,6 @@ class SmoothedKernel:
     def __repr__(self) -> str:
         return (f"SmoothedKernel({self.wavelet.label}, {self.window.kind.value}, "
                 f"kappa={self.window.kappa}, n={self.n_points})")
-
-
-def scaled_kernel_value(kernel: SmoothedKernel, a: float, b: float, s, t):
-    """K_{a,b}(s, t) = a^(-1) K((s - b)/a, (t - b)/a)."""
-    if a <= 0:
-        raise ValidationError("scale a must be positive")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return kernel.value_matrix(np.atleast_1d((s - b) / a),
-                               np.atleast_1d((t - b) / a)) / a
 
 
 class ValidRegion:

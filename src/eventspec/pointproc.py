@@ -298,11 +298,6 @@ def hawkes_spectrum(params: HawkesParams, f) -> np.ndarray:
     return out
 
 
-def poisson_spectrum(rates) -> np.ndarray:
-    """Flat spectrum diag(lambda) of independent Poisson streams."""
-    return np.diag(np.atleast_1d(np.asarray(rates, dtype=float)))
-
-
 def coherence_theoretical(params: HawkesParams, f, i: int, j: int):
     """rho^2_ij(f) = |S_ij|^2 / (S_ii S_jj) for the Hawkes spectrum."""
     from .errors import UndefinedCoherenceError

@@ -1,12 +1,12 @@
 """Continuous wavelet transforms of event streams and smoothed periodograms.
 
-The temporally smoothed wavelet periodogram Omega(a, b) is computed two
-ways: directly, as the time average of the rank-one periodogram over the
-smoothing window on the kernel's cell rule, and by the multi-wavelet
-expansion sum_l eta_l v_l v_l^H where v_l is the transform under
-eigen-wavelet l, one table gather and matrix product per stream
-(EigenSystem.summed_wavelets_at). The two agree to interpolation accuracy;
-the eigen route, O(events x L) per point, is the default for grid sweeps.
+The temporally smoothed wavelet periodogram Omega(a, b) is computed by the
+multi-wavelet expansion sum_l eta_l v_l v_l^H, where v_l is the transform
+under eigen-wavelet l, one table gather and matrix product per stream
+(EigenSystem.summed_wavelets_at), O(events x L) per point. Its definition,
+the time average of the rank-one periodogram over the smoothing window (the
+kernel double sum over event pairs), is kept as the direct route in the test
+oracles (tests/oracles.py); the two agree to interpolation accuracy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
 from .errors import ConfigError, RegionError, UndefinedCoherenceError, ValidationError
-from .kernels import MAX_FIELD_BYTES, SmoothedKernel, SmoothingWindow, ValidRegion, _cell_factors
+from .kernels import MAX_FIELD_BYTES, SmoothingWindow, ValidRegion
 from .pointproc import EventStream
 from .wavelets import Wavelet
 
@@ -33,8 +33,8 @@ def cwt(stream: EventStream, wavelet: Wavelet, a: float, b: float,
     """
     if a <= 0:
         raise ValidationError("scale a must be positive")
-    if check_region and not ValidRegion(wavelet.alpha, 0.0, stream.T).contains(a, b):
-        raise RegionError(f"(a={a}, b={b}) outside the valid triangle for alpha={wavelet.alpha}")
+    if check_region:
+        _require_inside(ValidRegion(wavelet.alpha, 0.0, stream.T), a, b)
     half = a * wavelet.alpha / 2.0
     root = math.sqrt(a)
     out = np.zeros(stream.p, dtype=complex if wavelet.is_complex else float)
@@ -52,38 +52,14 @@ def periodogram(stream: EventStream, wavelet: Wavelet, a: float, b: float,
     return np.outer(w, np.conj(w))
 
 
-def _require_inside(width: float, stream: EventStream, a: float, b: float) -> None:
+def _require_inside(region: ValidRegion, a: float, b: float) -> None:
     if a <= 0:
         raise ValidationError("scale a must be positive")
-    half = a * width / 2.0
-    tol = 1e-9 * max(1.0, stream.T)
-    if b - half < -tol or b + half > stream.T + tol:
+    if not region.contains(a, b):
+        half = a * region.width / 2.0
         raise RegionError(
-            f"(a={a}, b={b}) outside the valid triangle: kernel support "
-            f"({b - half:.3f}, {b + half:.3f}) not inside (0, {stream.T}]")
-
-
-def smoothed_periodogram_direct(stream: EventStream, kernel: SmoothedKernel,
-                                a: float, b: float,
-                                check_region: bool = True) -> np.ndarray:
-    """Omega(a, b) as the time average of the rank-one periodogram.
-
-    Omega_ij = a^(-1) int h_kappa(u) g_i(u) g_j*(u) du with the transform
-    g_i(u) = sum_x e^{i 2 pi f x} r(x - u) over x = (t - b)/a, t the events of
-    stream i; it equals the kernel double sum over event pairs. On the kernel's
-    cell rule each event's column of F is phased and summed to g_i per block of
-    cells, and G G^H / a is added.
-    """
-    if check_region:
-        _require_inside(kernel.width, stream, a, b)
-    half = a * kernel.width / 2.0
-    locals_ = [(stream.window(i, b - half, b + half) - b) / a for i in range(stream.p)]
-    phases = [np.exp(2j * np.pi * kernel.wavelet.modulation * x) for x in locals_]
-    out = np.zeros((stream.p, stream.p), dtype=complex)
-    for blocks in _cell_factors(kernel, locals_):
-        g = np.array([f @ phase for f, phase in zip(blocks, phases)])
-        out += g @ np.conj(g.T)
-    return out / a
+            f"(a={a}, b={b}) outside the valid triangle: support "
+            f"({b - half:.3f}, {b + half:.3f}) not inside (0, {region.T}]")
 
 
 def smoothed_periodogram_eigen(stream: EventStream, system: EigenSystem,
@@ -105,7 +81,8 @@ def eigen_cwt(stream: EventStream, system: EigenSystem, a: float, b: float,
     exactly, since K_{a,b}(s, t) = sum_l eta_l phi_{l,a,b}(s) phi*_{l,a,b}(t).
     """
     if check_region:
-        _require_inside(system.kernel.width, stream, a, b)
+        _require_inside(ValidRegion(system.kernel.wavelet.alpha, system.kernel.window.kappa,
+                                    stream.T), a, b)
     half = a * system.kernel.width / 2.0
     return np.array([system.summed_wavelets_at((stream.window(i, b - half, b + half) - b) / a)
                      for i in range(stream.p)]) / math.sqrt(a)
@@ -193,7 +170,8 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
 
     Points outside the valid region are marked invalid and left as NaN.
     Raises ConfigError for an empty grid, one whose omega would exceed
-    MAX_FIELD_BYTES, or one with no valid point.
+    MAX_FIELD_BYTES, an a_min that is not positive and finite, or a grid
+    with no valid point.
     """
     wav, win = config.wavelet, config.window
     n_a = config.n_a if config.a_grid is None else np.size(config.a_grid)
@@ -202,6 +180,8 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         raise ConfigError(f"grids need at least one point each (n_a={n_a}, n_b={n_b})")
     if n_a * n_b * stream.p ** 2 * 16 > MAX_FIELD_BYTES:
         raise ConfigError(f"omega of an {n_a} x {n_b} grid exceeds {MAX_FIELD_BYTES} bytes")
+    if config.a_min is not None and not 0 < config.a_min < math.inf:
+        raise ConfigError(f"the scale grid needs a positive, finite a_min (got {config.a_min})")
     system = eigensystem(wav, win, config.n_points, config.energy_cutoff)
     region = ValidRegion(wav.alpha, win.kappa, stream.T)
 
@@ -214,7 +194,7 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
             lam = max(float(rates.min()), 1e-12)
             a_min = config.min_expected_events / (lam * region.width)
         a_min = min(a_min, 0.99 * region.a_max)
-        a_grid = np.geomspace(max(a_min, 1e-9), region.a_max, config.n_a)
+        a_grid = np.geomspace(a_min, region.a_max, config.n_a)
     if config.b_grid is not None:
         b_grid = np.asarray(config.b_grid, dtype=float)
     else:

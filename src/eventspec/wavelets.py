@@ -47,8 +47,8 @@ def _mexhat(t: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _built_in(cls, kind, alpha, envelope, modulation, label):
-    return cls(kind, alpha, envelope, modulation, False, label)
+def _built_in(cls, kind, alpha, envelope, modulation):
+    return cls(kind, alpha, envelope, modulation, False)
 
 
 class Wavelet:
@@ -71,7 +71,7 @@ class Wavelet:
     """
 
     def __init__(self, kind: WaveletKind, alpha: float, envelope, modulation: float,
-                 envelope_complex: bool, label: str):
+                 envelope_complex: bool):
         if not 0 < alpha < math.inf:
             raise ValidationError("alpha must be positive and finite")
         self.kind = kind
@@ -80,7 +80,6 @@ class Wavelet:
         self._raw_envelope = envelope
         self._envelope_complex = envelope_complex
         self.is_complex = envelope_complex or modulation != 0.0
-        self.label = label
         self._fit_corrections()
 
     # -- construction ---------------------------------------------------
@@ -96,12 +95,12 @@ class Wavelet:
     @classmethod
     def morlet(cls, alpha: float = DEFAULT_ALPHA) -> "Wavelet":
         """Morlet wavelet pi^(-1/4) exp(-t^2/2) exp(i 2 pi t)."""
-        return _built_in(cls, WaveletKind.MORLET, alpha, _morlet_envelope, 1.0, "morlet")
+        return _built_in(cls, WaveletKind.MORLET, alpha, _morlet_envelope, 1.0)
 
     @classmethod
     def mexican_hat(cls, alpha: float = DEFAULT_ALPHA) -> "Wavelet":
         """Unit-norm second derivative of a Gaussian (real valued)."""
-        return _built_in(cls, WaveletKind.MEXICAN_HAT, alpha, _mexhat, 0.0, "mexhat")
+        return _built_in(cls, WaveletKind.MEXICAN_HAT, alpha, _mexhat, 0.0)
 
     @classmethod
     def tabulated(cls, times: np.ndarray, values: np.ndarray,
@@ -126,7 +125,7 @@ class Wavelet:
             out = spline(np.clip(t, lo, hi))
             return np.where((t < lo) | (t > hi), 0.0, out)
 
-        return cls(WaveletKind.TABULATED, alpha, envelope, 0.0, is_complex, "tabulated")
+        return cls(WaveletKind.TABULATED, alpha, envelope, 0.0, is_complex)
 
     @classmethod
     def from_csv(cls, path) -> "Wavelet":
@@ -215,6 +214,10 @@ class Wavelet:
         return env
 
     @property
+    def label(self) -> str:
+        return self.kind.value
+
+    @property
     def support(self) -> tuple[float, float]:
         return (-self.alpha / 2.0, self.alpha / 2.0)
 
@@ -233,28 +236,6 @@ class Wavelet:
 
     def __repr__(self) -> str:
         return f"Wavelet({self.label}, alpha={self.alpha})"
-
-
-class ScaledWavelet:
-    """psi_{a,b}(t) = a^(-1/2) psi((t - b)/a) with support (b - a*alpha/2, b + a*alpha/2)."""
-
-    def __init__(self, base: Wavelet, a: float, b: float = 0.0):
-        if a <= 0:
-            raise ValidationError("scale a must be positive")
-        self.base = base
-        self.a = float(a)
-        self.b = float(b)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        half = self.a * self.base.alpha / 2.0
-        return (self.b - half, self.b + half)
-
-    def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.base((t - self.b) / self.a) / math.sqrt(self.a)
-
-    __call__ = evaluate
 
 
 def central_frequency(w: Wavelet, n_fft: int = 1 << 18) -> float:

@@ -135,7 +135,8 @@ class TestCoherenceCommand:
         assert "n_points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [("--n-a", 0), ("--n-a", -3), ("--n-b", 0),
-                                       ("--n-b", 10**9)])
+                                       ("--n-b", 10**9), ("--a-min", -1), ("--a-min", 0),
+                                       ("--a-min", "nan")])
     def test_bad_grid_size_is_config_error(self, tmp_path, poisson_file, flags, monkeypatch,
                                            capsys):
         def refuse(*args, **kwargs):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from eventspec import (NumericalError, SmoothedKernel, SmoothingWindow, ValidationError,
-                       Wavelet, dof_closed_form,
-                       effective_frequency_response, eigensystem,
+                       Wavelet, dof_closed_form, eigensystem,
                        eigensystem_cached, eigensys, nystrom_decompose)
 from eventspec.studies import run_qq_coherence
 from eventspec.quadrature import simpson_rule
+from oracles import (effective_frequency_response, eigen_wavelet_value, full_kernel_matrix,
+                     rank_one_kernel, unfactorized_kernel, value_matrix)
 
 
 class TestDecomposition:
@@ -20,7 +21,7 @@ class TestDecomposition:
         assert morlet_sys10.eigenvalues.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_rank_one_kernel(self, morlet):
-        kern = SmoothedKernel.rank_one(morlet)
+        kern = rank_one_kernel(morlet)
         env = morlet.envelope(kern.grid)  # one cell of the cell rule: exactly r(s) r(t)
         assert np.abs(kern.envelope_values - np.outer(env, env)).max() <= 1e-14 * env.max() ** 2
         system = nystrom_decompose(kern, energy_cutoff=1.0)
@@ -79,7 +80,7 @@ class TestDegreesOfFreedom:
         assert mexhat_sys20.degrees_of_freedom() == pytest.approx(11.57, abs=0.05)
 
     def test_rank_one_dof(self, morlet):
-        system = nystrom_decompose(SmoothedKernel.rank_one(morlet))
+        system = nystrom_decompose(rank_one_kernel(morlet))
         assert system.degrees_of_freedom() == pytest.approx(1.0, abs=1e-5)
 
     def test_closed_form_gaussian_oracle(self, morlet):
@@ -247,7 +248,7 @@ class TestEigenWaveletValues:
     def test_extension_matches_grid_samples(self, morlet_sys10):
         idx = [7, 100, 300, 500]
         for l in [0, 3, 8]:
-            got = morlet_sys10.eigen_wavelet_value(l, morlet_sys10.grid[idx])
+            got = eigen_wavelet_value(morlet_sys10, l, morlet_sys10.grid[idx])
             stored = morlet_sys10.vectors[idx, l] * np.exp(
                 2j * np.pi * morlet_sys10.grid[idx])
             assert np.abs(got - stored).max() < 1e-8
@@ -258,7 +259,7 @@ class TestEigenWaveletValues:
         # interpolation there is locally ~1e-5 for the deepest retained
         # modes, and far better elsewhere
         x = np.linspace(-8.0, 8.0, 17) + 0.0137
-        rows = morlet_sys10.kernel.value_matrix(x, morlet_sys10.grid)
+        rows = value_matrix(morlet_sys10.kernel, x, morlet_sys10.grid)
         full = morlet_sys10.vectors * np.exp(
             2j * np.pi * morlet_sys10.grid)[:, None]
         ext = (rows @ full) * morlet_sys10.weight / morlet_sys10.retained_eigenvalues
@@ -270,7 +271,7 @@ class TestEigenWaveletValues:
 
     def test_index_beyond_rank(self, morlet_sys10):
         with pytest.raises(IndexError):
-            morlet_sys10.eigen_wavelet_value(morlet_sys10.n_retained, 0.0)
+            eigen_wavelet_value(morlet_sys10, morlet_sys10.n_retained, 0.0)
 
     def test_morlet_phase_structure(self, morlet_sys10):
         # eigen-wavelets of the Morlet + rectangular kernel factor as
@@ -283,7 +284,7 @@ class TestEigenWaveletValues:
     def test_real_and_complex_paths_agree(self, morlet, rect10, morlet_sys10):
         # same kernel decomposed without phase factorization: the complex
         # Hermitian eigensolve must reproduce the real-path eigenvalues
-        kern = SmoothedKernel(morlet, rect10, phase_factorized=False)
+        kern = unfactorized_kernel(morlet, rect10)
         assert np.iscomplexobj(kern.envelope_values)
         system = nystrom_decompose(kern, energy_cutoff=0.999)
         k = min(system.n_retained, 9)
@@ -346,5 +347,5 @@ class TestMercer:
                                    energy_cutoff=1.0 - 1e-8)
         full = system.vectors * np.exp(2j * np.pi * system.grid)[:, None]
         recon = (full * system.retained_eigenvalues) @ full.conj().T
-        target = system.kernel.values
+        target = full_kernel_matrix(system.kernel)
         assert np.abs(recon - target).max() < 1e-3

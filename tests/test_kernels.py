@@ -3,11 +3,11 @@ import pytest
 from scipy.special import erf
 
 from eventspec import (EventStream, SmoothedKernel, SmoothingWindow, ValidRegion,
-                       ValidationError, Wavelet, kernel_value,
-                       nystrom_decompose, scaled_kernel_value, smoothed_periodogram_direct)
+                       ValidationError, Wavelet, kernel_value, nystrom_decompose)
 from eventspec import kernels
 from eventspec.quadrature import simpson_rule
-from oracles import kernel_value_morlet_rect
+from oracles import (eigen_wavelet_value, full_kernel_matrix, kernel_value_morlet_rect,
+                     scaled_kernel_value, smoothed_periodogram_direct, value_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ class TestQuadratureKernel:
         kern = SmoothedKernel(mexhat, rect10)
         s = np.array([0.3, -2.0])
         t = np.array([-0.8, 4.0])
-        block = kern.value_matrix(s, t)
+        block = value_matrix(kern, s, t)
         for i in range(2):
             for j in range(2):
                 assert block[i, j] == pytest.approx(
@@ -160,7 +160,7 @@ class TestGridMatrix:
         kern, n_quad, bound = grid_case
         i, j = grid_pairs(kern)
         ref = kernel_value(kern.wavelet, kern.window, kern.grid[i], kern.grid[j], n_quad=n_quad)
-        values = kern.values
+        values = full_kernel_matrix(kern)
         assert np.abs(values[i, j] - ref).max() <= bound * np.abs(values).max()
 
     def test_disjoint_supports_exactly_zero(self, grid_case):
@@ -187,9 +187,9 @@ class TestGridMatrix:
                                 (tabulated_gauss(), SmoothingWindow.rectangular(4.0))]:
             kern = SmoothedKernel(wavelet, window, n_points=128)
         # every sampled kernel value comes from the cell rule; only the oracle differs
-        kern.value_matrix(np.array([0.1]), np.array([0.2]))
+        value_matrix(kern, np.array([0.1]), np.array([0.2]))
         scaled_kernel_value(kern, 2.0, 1.0, 0.4, -0.3)
-        nystrom_decompose(kern).eigen_wavelet_value(0, np.array([0.1, 2.5]))
+        eigen_wavelet_value(nystrom_decompose(kern), 0, np.array([0.1, 2.5]))
         stream = EventStream([[49.0, 50.5], [5.0, 95.0]], T=100.0)  # stream 2 outside the support
         om = smoothed_periodogram_direct(stream, kern, 2.0, 50.0)
         assert om[0, 0].real > 0 and np.all(om[1] == 0) and np.all(om[:, 1] == 0)
@@ -214,7 +214,7 @@ class TestValueMatrix:
         s, t = np.random.default_rng(7).uniform(-kern.width / 2, kern.width / 2, (2, 40))
         ss, tt = np.meshgrid(s, t, indexing="ij")
         ref = kernel_value(wav, win, ss, tt, n_quad=4000)
-        assert np.abs(kern.value_matrix(s, t) - ref).max() <= 1e-7 * np.abs(ref).max()
+        assert np.abs(value_matrix(kern, s, t) - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 class TestScaledKernel:

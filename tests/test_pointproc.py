@@ -6,8 +6,8 @@ from eventspec import pointproc
 from eventspec import (EventStream, HawkesParams, ParseError,
                        ValidationError, Wavelet,
                        coherence_theoretical, hawkes_spectrum, load_csv,
-                       poisson_spectrum, save_csv, simulate_hawkes,
-                       simulate_piecewise, simulate_poisson)
+                       save_csv, simulate_hawkes, simulate_piecewise, simulate_poisson)
+from oracles import poisson_spectrum
 
 UNIVARIATE = dict(nu=1.0, alpha=0.5, beta=1.0)
 BIVARIATE = dict(nu=[1.0, 1.0], alpha=[[0.5, 0.4], [0.4, 0.5]],

@@ -9,11 +9,11 @@ import pytest
 from eventspec import (ConfigError, EventStream, FieldConfig,
                        RegionError, SmoothedKernel, SmoothingWindow,
                        UndefinedCoherenceError, Wavelet,
-                       coherence, cwt, denormalize_coords, eigensystem,
+                       coherence, cwt, denormalize_coords, eigen_cwt, eigensystem,
                        eigensystem_cached, field, normalize_coords, nystrom_decompose,
-                       periodogram, simulate_poisson,
-                       smoothed_periodogram_direct, smoothed_periodogram_eigen)
+                       periodogram, simulate_poisson, smoothed_periodogram_eigen)
 from eventspec.studies import piecewise_segments
+from oracles import rank_one_kernel, smoothed_periodogram_direct, value_matrix
 
 
 def empty_stream(p=2, T=100.0):
@@ -77,8 +77,8 @@ class TestSmoothedPeriodogram:
         s = EventStream([[49.0], [51.0]], T=100.0)
         a, b = 2.0, 50.0
         om = smoothed_periodogram_direct(s, kern, a, b)
-        expected = kern.value_matrix(np.array([(49.0 - b) / a]),
-                                     np.array([(51.0 - b) / a]))[0, 0] / a
+        expected = value_matrix(kern, np.array([(49.0 - b) / a]),
+                                np.array([(51.0 - b) / a]))[0, 0] / a
         assert om[0, 1] == pytest.approx(expected, abs=1e-12)
         assert om[1, 0] == pytest.approx(np.conj(expected), abs=1e-12)
 
@@ -121,6 +121,21 @@ class TestSmoothedPeriodogram:
         with pytest.raises(RegionError):
             smoothed_periodogram_eigen(s, morlet_sys10, 3.0, 5.0)
 
+    @pytest.mark.parametrize("route", ["cwt", "eigen", "direct"])
+    def test_support_edges_follow_valid_region(self, route, morlet_sys10):
+        # a support touching 0 and T exactly is admitted, one 1e-10 T beyond is refused
+        kern, T, a = morlet_sys10.kernel, 100.0, 2.0
+        s = simulate_poisson([1.0, 1.0], T, seed=3)
+        run = {"cwt": lambda b: cwt(s, kern.wavelet, a, b),
+               "eigen": lambda b: eigen_cwt(s, morlet_sys10, a, b),
+               "direct": lambda b: smoothed_periodogram_direct(s, kern, a, b)}[route]
+        half = a * (kern.wavelet.alpha if route == "cwt" else kern.width) / 2.0
+        for b in (half, T - half):
+            run(b)
+        for b in (half - 1e-10 * T, T - half + 1e-10 * T):
+            with pytest.raises(RegionError):
+                run(b)
+
     def test_psd_on_poisson_draws(self, morlet_sys10):
         worst = 0.0
         for r in range(100):
@@ -131,7 +146,7 @@ class TestSmoothedPeriodogram:
         assert worst >= -1e-10
 
     def test_rank_one_system_reduces_to_periodogram(self, morlet):
-        system = nystrom_decompose(SmoothedKernel.rank_one(morlet))
+        system = nystrom_decompose(rank_one_kernel(morlet))
         s = simulate_poisson([3.0], 100.0, seed=2)
         a, b = 3.0, 50.0
         om = smoothed_periodogram_eigen(s, system, a, b)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from eventspec import (ConfigError, ParseError, ScaledWavelet, ValidationError,
+from eventspec import (ConfigError, ParseError, ValidationError,
                        Wavelet, autocorrelation, central_frequency)
 from eventspec.studies import run_qq_cwt
 from eventspec.quadrature import simpson_rule
+from oracles import ScaledWavelet
 
 
 def quad_weights(alpha, n=4097):
