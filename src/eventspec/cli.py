@@ -2,8 +2,9 @@
 
 Subcommands: simulate, eigs, periodogram, coherence, test-stationarity,
 reproduce. Parameters may come from a JSON config file (--config) with
-command-line flags taking precedence. Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical error.
+command-line flags taking precedence; a setting given by neither takes the
+library's default, apart from the CLI's own below. Only simulate and reproduce
+take --seed. Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from .kernels import SmoothingWindow
 from .pointproc import HawkesParams, load_csv, save_csv, simulate_hawkes, \
     simulate_piecewise, simulate_poisson
 from .spectra import FieldConfig, field
-from .wavelets import DEFAULT_ALPHA, Wavelet
+from .wavelets import Wavelet
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-# Energy kept by eigs, periodogram and coherence unless --energy-cutoff is
-# given; the library default (eigensys.DEFAULT_ENERGY_CUTOFF) keeps more.
+# Energy kept and window width of eigs, periodogram and coherence unless given;
+# the library's energy default (eigensys.DEFAULT_ENERGY_CUTOFF) keeps more.
 CLI_ENERGY_CUTOFF = 0.999
+CLI_KAPPA = 10.0
 
 
 def _load_config(path: str | None) -> dict:
@@ -56,9 +58,15 @@ def _setting(args, cfg: dict, name: str, default=None):
     return cfg.get(name, default)
 
 
+def _given(args, cfg: dict, **casts) -> dict:
+    """Settings given by a flag or the config file, cast; the library fills the rest."""
+    values = {key: _setting(args, cfg, key.replace("_", "-")) for key in casts}
+    return {key: casts[key](value) for key, value in values.items() if value is not None}
+
+
 def _make_wavelet(args, cfg: dict) -> Wavelet:
     return Wavelet.named(_setting(args, cfg, "wavelet", "morlet"),
-                         _setting(args, cfg, "alpha", DEFAULT_ALPHA))
+                         **_given(args, cfg, alpha=float))
 
 
 def _out_dir(args) -> str:
@@ -115,10 +123,10 @@ def cmd_simulate(args) -> int:
 def cmd_eigs(args) -> int:
     cfg = _load_config(args.config)
     wavelet = _make_wavelet(args, cfg)
-    kappa = float(_setting(args, cfg, "kappa", 10.0))
-    n_points = int(_setting(args, cfg, "n-points", 512))
+    kappa = float(_setting(args, cfg, "kappa", CLI_KAPPA))
     cutoff = float(_setting(args, cfg, "energy-cutoff", CLI_ENERGY_CUTOFF))
-    system = eigensystem(wavelet, SmoothingWindow.rectangular(kappa), n_points, cutoff)
+    system = eigensystem(wavelet, SmoothingWindow.rectangular(kappa),
+                         energy_cutoff=cutoff, **_given(args, cfg, n_points=int))
     out = _out_dir(args)
     eig_path = os.path.join(out, "eigenvalues.csv")
     with open(eig_path, "w") as fh:
@@ -136,7 +144,7 @@ def cmd_eigs(args) -> int:
         rows = np.column_stack([system.grid, system.eigen_wavelets_at(system.grid).view(float)])
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
     meta = {"wavelet": wavelet.label, "alpha": wavelet.alpha, "kappa": kappa,
-            "n_points": n_points, "energy_cutoff": cutoff,
+            "n_points": system.kernel.n_points, "energy_cutoff": cutoff,
             "n_retained": system.n_retained,
             "dof": system.degrees_of_freedom(), "diagnostics": system.diagnostics}
     with open(os.path.join(out, "eigs.json"), "w") as fh:
@@ -146,71 +154,45 @@ def cmd_eigs(args) -> int:
     return 0
 
 
-def _field_from_args(args, want_coherence: bool):
+def cmd_field(args) -> int:
+    """periodogram and coherence: one field sweep; coherence adds the null percentile."""
     cfg = _load_config(args.config)
     stream = load_csv(args.events)
+    want_coherence = args.command == "coherence"
     if want_coherence and stream.p < 2:
         raise DataError("coherence requires at least two component streams")
     wavelet = _make_wavelet(args, cfg)
-    kappa = float(_setting(args, cfg, "kappa", 10.0))
     fc = FieldConfig(
         wavelet=wavelet,
-        window=SmoothingWindow.rectangular(kappa),
-        n_a=int(_setting(args, cfg, "n-a", 32)),
-        n_b=int(_setting(args, cfg, "n-b", 128)),
+        window=SmoothingWindow.rectangular(float(_setting(args, cfg, "kappa", CLI_KAPPA))),
         a_grid=np.asarray(cfg["a-grid"], dtype=float) if "a-grid" in cfg else None,
         b_grid=np.asarray(cfg["b-grid"], dtype=float) if "b-grid" in cfg else None,
-        a_min=_setting(args, cfg, "a-min"),
         energy_cutoff=float(_setting(args, cfg, "energy-cutoff", CLI_ENERGY_CUTOFF)),
-        n_points=int(_setting(args, cfg, "n-points", 512)),
+        **_given(args, cfg, n_a=int, n_b=int, a_min=float, n_points=int),
     )
-    return stream, fc, cfg
-
-
-def cmd_periodogram(args) -> int:
-    stream, fc, _ = _field_from_args(args, want_coherence=False)
     result = field(stream, fc)
+    meta = result.meta
+    stem, note = "field", f" ({meta['n_valid']}/{meta['n_grid']} grid points valid)"
+    if want_coherence:
+        q = float(_setting(args, cfg, "percentile", 0.95))
+        meta["null_percentile_q"] = q
+        meta["null_percentile"] = null_percentile(Flavor.of(wavelet), meta["dof"], q)
+        stem, note = "coherence", f"; null {q:.0%} percentile = {meta['null_percentile']:.4f}"
     out = _out_dir(args)
-    path = os.path.join(out, "field.csv")
+    path = os.path.join(out, stem + ".csv")
     result.to_csv(path)
-    with open(os.path.join(out, "field_meta.json"), "w") as fh:
+    with open(os.path.join(out, stem + "_meta.json"), "w") as fh:
         fh.write(result.meta_json())
-    print(f"wrote {path} ({result.meta['n_valid']}/{result.meta['n_grid']} "
-          "grid points valid)")
-    return 0
-
-
-def cmd_coherence(args) -> int:
-    stream, fc, cfg = _field_from_args(args, want_coherence=True)
-    result = field(stream, fc)
-    q = float(_setting(args, cfg, "percentile", 0.95))
-    flavor = Flavor.COMPLEX if fc.wavelet.is_complex else Flavor.REAL
-    result.meta["null_percentile_q"] = q
-    result.meta["null_percentile"] = null_percentile(flavor, result.meta["dof"], q)
-    out = _out_dir(args)
-    path = os.path.join(out, "coherence.csv")
-    result.to_csv(path)
-    with open(os.path.join(out, "coherence_meta.json"), "w") as fh:
-        fh.write(result.meta_json())
-    print(f"wrote {path}; null {q:.0%} percentile = "
-          f"{result.meta['null_percentile']:.4f}")
+    print(f"wrote {path}{note}")
     return 0
 
 
 def cmd_test_stationarity(args) -> int:
     cfg = _load_config(args.config)
     stream = load_csv(args.events)
-    wavelet = _make_wavelet(args, cfg)
-    flavor_name = _setting(args, cfg, "flavor")
-    flavor = Flavor(flavor_name) if flavor_name else None
-    config = StationarityConfig(
-        wavelet=wavelet,
-        kappa=float(_setting(args, cfg, "kappa", 8.0)),
-        c=float(_setting(args, cfg, "c", 0.25)),
-        J=int(_setting(args, cfg, "J", 3)),
-        flavor=flavor,
-        n_points=int(_setting(args, cfg, "n-points", 512)),
-    )
+    config = StationarityConfig(wavelet=_make_wavelet(args, cfg),
+                                **_given(args, cfg, kappa=float, c=float, J=int,
+                                         n_points=int))
     report = stationarity_test(stream, config)
     out = _out_dir(args)
     path = os.path.join(out, "stationarity.json")
@@ -242,15 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wavelet spectral analysis for multivariate point processes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, events=False):
+    def common(p, events=False, seed=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--seed", type=int, help="master seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="master seed")
         if events:
             p.add_argument("events", help="event CSV file")
 
+    def kernel(p):
+        p.add_argument("--wavelet", choices=["morlet", "mexhat"])
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--kappa", type=float)
+        p.add_argument("--n-points", type=int, dest="n_points")
+
     p = sub.add_parser("simulate", help="simulate Poisson/Hawkes event streams")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--kind", choices=["poisson", "hawkes", "piecewise"])
     p.add_argument("--T", type=float, help="horizon")
     p.add_argument("--name", default="events", help="output file stem")
@@ -258,43 +247,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigs", help="eigenvalues and eigen-wavelets of the kernel")
     common(p)
-    p.add_argument("--wavelet", choices=["morlet", "mexhat"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--n-points", type=int, dest="n_points")
+    kernel(p)
     p.add_argument("--energy-cutoff", type=float, dest="energy_cutoff")
     p.set_defaults(func=cmd_eigs)
 
-    for name, fn, help_text in [
-            ("periodogram", cmd_periodogram, "smoothed wavelet periodogram field"),
-            ("coherence", cmd_coherence, "wavelet coherence field with null percentile")]:
+    for name, help_text in [("periodogram", "smoothed wavelet periodogram field"),
+                            ("coherence", "wavelet coherence field with null percentile")]:
         p = sub.add_parser(name, help=help_text)
         common(p, events=True)
-        p.add_argument("--wavelet", choices=["morlet", "mexhat"])
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--kappa", type=float)
+        kernel(p)
         p.add_argument("--n-a", type=int, dest="n_a")
         p.add_argument("--n-b", type=int, dest="n_b")
         p.add_argument("--a-min", type=float, dest="a_min")
-        p.add_argument("--n-points", type=int, dest="n_points")
         p.add_argument("--energy-cutoff", type=float, dest="energy_cutoff")
         if name == "coherence":
             p.add_argument("--percentile", type=float)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("test-stationarity", help="dyadic LRT for stationarity")
     common(p, events=True)
-    p.add_argument("--wavelet", choices=["morlet", "mexhat"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--kappa", type=float)
+    kernel(p)
     p.add_argument("--c", type=float)
     p.add_argument("--J", type=int)
-    p.add_argument("--flavor", choices=["complex", "real"])
-    p.add_argument("--n-points", type=int, dest="n_points")
     p.set_defaults(func=cmd_test_stationarity)
 
     p = sub.add_parser("reproduce", help="run a canned validation study")
-    common(p)
+    common(p, seed=True)
     p.add_argument("study", choices=sorted(studies.STUDIES))
     p.add_argument("--replicates", type=int)
     p.set_defaults(func=cmd_reproduce)

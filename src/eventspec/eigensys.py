@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .kernels import DEFAULT_GRID_POINTS, SmoothedKernel, SmoothingWindow
 from .quadrature import simpson_rule
-from .wavelets import DEFAULT_ALPHA, Wavelet, autocorrelation
+from .wavelets import DEFAULT_ALPHA, QUAD_POINTS, Wavelet, autocorrelation
 
 DEFAULT_ENERGY_CUTOFF = 1.0 - 1e-6
 # Distinct systems kept by eigensystem(); criterion 4 cycles through six.
@@ -214,7 +214,7 @@ def nystrom_decompose(kernel: SmoothedKernel,
     return EigenSystem(kernel, eta, vecs, energy_cutoff, asym)
 
 
-def dof_closed_form(wavelet: Wavelet, kappa: float, n_quad: int = 4097) -> float:
+def dof_closed_form(wavelet: Wavelet, kappa: float) -> float:
     """Large-kappa closed form n = kappa / integral |P(x)|^2 dx.
 
     Only valid for a rectangular window with kappa > alpha. This expression
@@ -224,7 +224,7 @@ def dof_closed_form(wavelet: Wavelet, kappa: float, n_quad: int = 4097) -> float
     """
     if kappa <= wavelet.alpha:
         raise ValidationError("closed-form degrees of freedom require kappa > alpha")
-    x, w = simpson_rule(-wavelet.alpha, wavelet.alpha, n_quad)
+    x, w = simpson_rule(-wavelet.alpha, wavelet.alpha, QUAD_POINTS)
     p = autocorrelation(wavelet, x)
     energy = float(w @ np.abs(p) ** 2)
     return kappa / energy

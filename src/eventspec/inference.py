@@ -3,11 +3,12 @@
 The smoothed periodogram at an interior point is asymptotically
 (1/n) Wishart with n = 1/sum(eta_l^2) degrees of freedom, which yields
 closed coherence densities (Goodman form for complex wavelets, the Fisher
-form for real ones) in terms of the Gauss hypergeometric function. The
-stationarity test partitions the time-scale plane dyadically and compares
-segment periodograms with a covariance-equality likelihood ratio whose
--2 log Lambda_j is asymptotically chi-squared with (2^j - 1) p^2 degrees
-of freedom per scale.
+form for real ones) in terms of the Gauss hypergeometric function; the
+wavelet fixes which (Flavor.of), so no config chooses it. The stationarity
+test partitions the time-scale plane dyadically and compares segment
+periodograms with a covariance-equality likelihood ratio whose -2 log
+Lambda_j is asymptotically chi-squared with (2^j - 1) p^2 degrees of freedom
+per scale.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
+from .eigensys import EigenSystem, eigensystem
 from .errors import ConfigError, DegenerateSegmentError, ValidationError
-from .kernels import SmoothingWindow
+from .kernels import DEFAULT_GRID_POINTS, SmoothingWindow
 from .pointproc import EventStream
 from .spectra import smoothed_periodogram_eigen
 from .wavelets import Wavelet
 
 MAX_J = 12  # finest test scale; scales 1..J take 2^(J+1) - 2 (8,190) segment periodograms
+CDF_GRID_POINTS = 4001  # nodes of CoherenceDistribution's numeric CDF
 
 
 class Flavor(enum.Enum):
@@ -35,6 +37,11 @@ class Flavor(enum.Enum):
 
     COMPLEX = "complex"
     REAL = "real"
+
+    @classmethod
+    def of(cls, wavelet: Wavelet) -> "Flavor":
+        """The family of a wavelet's statistics: COMPLEX for a complex-valued wavelet."""
+        return cls.COMPLEX if wavelet.is_complex else cls.REAL
 
 
 def hyp2f1(a1: float, a2: float, b1: float, z):
@@ -75,14 +82,14 @@ class CoherenceDistribution:
     def pdf(self, x):
         return coherence_density(self, x)
 
-    def cdf_grid(self, n_grid: int = 4001) -> tuple[np.ndarray, np.ndarray]:
-        """Numeric CDF on a grid, integrating in y = sqrt(x).
+    def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numeric CDF on CDF_GRID_POINTS nodes, integrating in y = sqrt(x).
 
         The substitution removes the x^(-1/2) endpoint singularity of the
         real flavor; the tiny mass beyond 1 - 1e-9 is folded in by
         normalizing the result to end at one.
         """
-        y = np.linspace(0.0, math.sqrt(1.0 - 1e-9), n_grid)
+        y = np.linspace(0.0, math.sqrt(1.0 - 1e-9), CDF_GRID_POINTS)
         x = y * y
         integrand = np.empty_like(y)
         integrand[1:] = self.pdf(x[1:]) * 2.0 * y[1:]
@@ -246,16 +253,14 @@ class StationarityConfig:
 
     The smoothing width grows with the horizon as kappa_tilde = kappa * T^c
     with 0 < c < 1/2; c = 1/4 balances the two error rates and is the
-    default.
+    default. The eigensystem keeps eigensys.DEFAULT_ENERGY_CUTOFF.
     """
 
     wavelet: Wavelet = dataclass_field(default_factory=Wavelet.morlet)
     kappa: float = 8.0
     c: float = 0.25
     J: int = 3
-    flavor: Flavor | None = None
-    n_points: int = 512
-    energy_cutoff: float = DEFAULT_ENERGY_CUTOFF
+    n_points: int = DEFAULT_GRID_POINTS
 
     def validate(self) -> None:
         if not 1 <= self.J <= MAX_J:
@@ -268,7 +273,7 @@ class StationarityConfig:
     def resolve_system(self, T: float) -> EigenSystem:
         """Eigensystem for horizon T at kappa_tilde = kappa * T^c."""
         return eigensystem(self.wavelet, SmoothingWindow.rectangular(self.kappa * T**self.c),
-                           self.n_points, self.energy_cutoff)
+                           self.n_points)
 
 
 def stationarity_test(stream: EventStream,
@@ -286,9 +291,7 @@ def stationarity_test(stream: EventStream,
     config.validate()
     system = config.resolve_system(stream.T)
     wav = system.kernel.wavelet
-    flavor = config.flavor
-    if flavor is None:
-        flavor = Flavor.COMPLEX if wav.is_complex else Flavor.REAL
+    flavor = Flavor.of(wav)
     width = system.kernel.width
     n_dof = system.degrees_of_freedom()
     p = stream.p

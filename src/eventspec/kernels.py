@@ -70,6 +70,8 @@ class SmoothingWindow:
         """
         points = np.asarray(points, dtype=float)
         values = np.asarray(values, dtype=float)
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):
+            raise ValidationError("window samples must be finite")
         if np.any(values < -1e-12):
             raise ValidationError("window samples must be non-negative")
         if points.min() < -0.5 or points.max() > 0.5:
@@ -123,10 +125,6 @@ class SmoothingWindow:
         else:
             vals = self._unit(scaled)
         return np.where(inside, vals, 0.0) / self.kappa
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-self.kappa / 2.0, self.kappa / 2.0)
 
     def _key(self):
         return id(self) if self.kind is WindowKind.TABULATED else (self.kind, self.kappa)

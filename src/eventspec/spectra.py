@@ -7,6 +7,10 @@ under eigen-wavelet l, one table gather and matrix product per stream
 the time average of the rank-one periodogram over the smoothing window (the
 kernel double sum over event pairs), is kept as the direct route in the test
 oracles (tests/oracles.py); the two agree to interpolation accuracy.
+
+Every transform raises RegionError for a support outside (0, T]. field() masks
+its grid by the same region, so it calls smoothed_periodogram_eigen with
+check_region=False.
 """
 
 from __future__ import annotations
@@ -19,22 +23,20 @@ import numpy as np
 
 from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
 from .errors import ConfigError, RegionError, UndefinedCoherenceError, ValidationError
-from .kernels import MAX_FIELD_BYTES, SmoothingWindow, ValidRegion
+from .kernels import DEFAULT_GRID_POINTS, MAX_FIELD_BYTES, SmoothingWindow, ValidRegion
 from .pointproc import EventStream
 from .wavelets import Wavelet
 
+MIN_EXPECTED_EVENTS = 10.0  # of the sparsest stream, in the support at field()'s default a_min
 
-def cwt(stream: EventStream, wavelet: Wavelet, a: float, b: float,
-        check_region: bool = True) -> np.ndarray:
+
+def cwt(stream: EventStream, wavelet: Wavelet, a: float, b: float) -> np.ndarray:
     """w(a, b): per-component sum of conjugated scaled-wavelet values.
 
     Requires the wavelet support (b - a*alpha/2, b + a*alpha/2) to sit
     inside (0, T]; only events inside it contribute.
     """
-    if a <= 0:
-        raise ValidationError("scale a must be positive")
-    if check_region:
-        _require_inside(ValidRegion(wavelet.alpha, 0.0, stream.T), a, b)
+    _require_inside(ValidRegion(wavelet.alpha, 0.0, stream.T), a, b)
     half = a * wavelet.alpha / 2.0
     root = math.sqrt(a)
     out = np.zeros(stream.p, dtype=complex if wavelet.is_complex else float)
@@ -45,10 +47,9 @@ def cwt(stream: EventStream, wavelet: Wavelet, a: float, b: float,
     return out
 
 
-def periodogram(stream: EventStream, wavelet: Wavelet, a: float, b: float,
-                check_region: bool = True) -> np.ndarray:
+def periodogram(stream: EventStream, wavelet: Wavelet, a: float, b: float) -> np.ndarray:
     """Rank-one wavelet periodogram W(a, b) = w w^H."""
-    w = cwt(stream, wavelet, a, b, check_region=check_region)
+    w = cwt(stream, wavelet, a, b)
     return np.outer(w, np.conj(w))
 
 
@@ -117,7 +118,7 @@ class FieldConfig:
     With a_grid/b_grid unset, a logarithmic scale grid (n_a points between
     a_min and a_max) and a uniform translation grid (n_b points) are built.
     a_min defaults to the smallest scale at which the kernel support is
-    expected to hold at least min_expected_events of the sparsest stream.
+    expected to hold at least MIN_EXPECTED_EVENTS of the sparsest stream.
     """
 
     wavelet: Wavelet
@@ -127,9 +128,8 @@ class FieldConfig:
     n_a: int = 32
     n_b: int = 128
     a_min: float | None = None
-    min_expected_events: float = 10.0
     energy_cutoff: float = DEFAULT_ENERGY_CUTOFF
-    n_points: int = 512
+    n_points: int = DEFAULT_GRID_POINTS
 
 
 class SpectralField:
@@ -192,7 +192,7 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         if a_min is None:
             rates = stream.counts() / stream.T
             lam = max(float(rates.min()), 1e-12)
-            a_min = config.min_expected_events / (lam * region.width)
+            a_min = MIN_EXPECTED_EVENTS / (lam * region.width)
         a_min = min(a_min, 0.99 * region.a_max)
         a_grid = np.geomspace(a_min, region.a_max, config.n_a)
     if config.b_grid is not None:

@@ -163,7 +163,7 @@ def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
     """
     system = eigensystem_cached(wavelet_kind, kappa)
     n = system.degrees_of_freedom()
-    flavor = Flavor.COMPLEX if system.kernel.wavelet.is_complex else Flavor.REAL
+    flavor = Flavor.of(system.kernel.wavelet)
     if process == "poisson":
         make = lambda sq: simulate_poisson([rate, rate], T, seed=sq)
         rho2 = 0.0
@@ -214,7 +214,7 @@ def run_null_percentile(wavelet_kind: str = "morlet", kappa: float = 10.0,
     """Null-coherence percentile from the eigenvalue-sum degrees of freedom."""
     system = eigensystem_cached(wavelet_kind, kappa)
     n = system.degrees_of_freedom()
-    flavor = Flavor.COMPLEX if system.kernel.wavelet.is_complex else Flavor.REAL
+    flavor = Flavor.of(system.kernel.wavelet)
     value = null_percentile(flavor, n, q)
     passed = None
     if wavelet_kind == "morlet" and kappa == 10.0 and q == 0.95:

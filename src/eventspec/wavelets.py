@@ -27,6 +27,7 @@ from .quadrature import simpson_rule
 
 QUAD_POINTS = 4097  # composite Simpson nodes across the support
 DEFAULT_ALPHA = 8.0
+CENTRAL_FREQUENCY_FFT = 1 << 18  # zero-padded FFT length for the spectral centroid
 
 _MORLET_NORM = math.pi ** -0.25
 _MEXHAT_NORM = 2.0 / math.sqrt(3.0) * math.pi ** -0.25
@@ -110,6 +111,8 @@ class Wavelet:
         values = np.asarray(values)
         if times.ndim != 1 or times.size < 8:
             raise ValidationError("tabulated wavelet needs at least 8 samples")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValidationError("tabulated wavelet samples must be finite")
         steps = np.diff(times)
         if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.mean():
             raise ValidationError("tabulated wavelet grid must be uniform and increasing")
@@ -217,10 +220,6 @@ class Wavelet:
     def label(self) -> str:
         return self.kind.value
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-self.alpha / 2.0, self.alpha / 2.0)
-
     @functools.cached_property
     def central_frequency(self) -> float:
         return central_frequency(self)
@@ -238,7 +237,7 @@ class Wavelet:
         return f"Wavelet({self.label}, alpha={self.alpha})"
 
 
-def central_frequency(w: Wavelet, n_fft: int = 1 << 18) -> float:
+def central_frequency(w: Wavelet) -> float:
     """Spectral centroid of |Psi(f)|^2 over positive frequencies.
 
     Computed from the FFT of the truncated wavelet, zero padded for
@@ -251,8 +250,8 @@ def central_frequency(w: Wavelet, n_fft: int = 1 << 18) -> float:
     t = np.linspace(-half, half, n)
     vals = w(t)
     dt = t[1] - t[0]
-    spec = np.fft.fft(vals, n_fft) * dt
-    freqs = np.fft.fftfreq(n_fft, dt)
+    spec = np.fft.fft(vals, CENTRAL_FREQUENCY_FFT) * dt
+    freqs = np.fft.fftfreq(CENTRAL_FREQUENCY_FFT, dt)
     pos = freqs > 0
     power = np.abs(spec[pos]) ** 2
     f = freqs[pos]

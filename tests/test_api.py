@@ -1,7 +1,10 @@
+import inspect
 import os
 import subprocess
 import sys
 import types
+
+import pytest
 
 import eventspec
 
@@ -40,3 +43,32 @@ def test_morlet_cli_runs_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_flavor_follows_the_wavelet():
+    assert eventspec.Flavor.of(eventspec.Wavelet.morlet()) is eventspec.Flavor.COMPLEX
+    assert eventspec.Flavor.of(eventspec.Wavelet.mexican_hat()) is eventspec.Flavor.REAL
+
+
+@pytest.mark.parametrize("make", [
+    lambda: eventspec.StationarityConfig(flavor=eventspec.Flavor.REAL),
+    lambda: eventspec.StationarityConfig(energy_cutoff=0.999),
+    lambda: eventspec.FieldConfig(eventspec.Wavelet.morlet(),
+                                  eventspec.SmoothingWindow.rectangular(10.0),
+                                  min_expected_events=5.0),
+], ids=["flavor", "energy_cutoff", "min_expected_events"])
+def test_removed_config_field_is_type_error(make):
+    # the wavelet fixes the flavor; the others were never set by any caller
+    with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize("function, parameter", [
+    (eventspec.cwt, "check_region"),
+    (eventspec.periodogram, "check_region"),
+    (eventspec.central_frequency, "n_fft"),
+    (eventspec.dof_closed_form, "n_quad"),
+    (eventspec.CoherenceDistribution.cdf_grid, "n_grid"),
+])
+def test_removed_parameter(function, parameter):
+    assert parameter not in inspect.signature(function).parameters

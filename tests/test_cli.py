@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from eventspec import inference, load_csv
+from eventspec.cli import build_parser
 from eventspec.cli import main
 from eventspec.inference import MAX_J
 
@@ -280,3 +282,42 @@ class TestReproduceCommand:
         import pytest as _pytest
         with _pytest.raises(SystemExit):
             run(["reproduce", "not-a-study", "--out", tmp_path])
+
+
+OPTIONS = {
+    "simulate": ["--config", "--out", "--seed", "--kind", "--T", "--name"],
+    "eigs": ["--config", "--out", "--wavelet", "--alpha", "--kappa", "--n-points",
+             "--energy-cutoff"],
+    "periodogram": ["--config", "--out", "--wavelet", "--alpha", "--kappa", "--n-points",
+                    "--n-a", "--n-b", "--a-min", "--energy-cutoff"],
+    "coherence": ["--config", "--out", "--wavelet", "--alpha", "--kappa", "--n-points",
+                  "--n-a", "--n-b", "--a-min", "--energy-cutoff", "--percentile"],
+    "test-stationarity": ["--config", "--out", "--wavelet", "--alpha", "--kappa",
+                          "--n-points", "--c", "--J"],
+    "reproduce": ["--config", "--out", "--seed", "--replicates"],
+}
+
+
+def test_option_surface():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    surface = {name: [a.option_strings[0] for a in p._actions
+                      if a.option_strings and a.dest != "help"]
+               for name, p in commands.items()}
+    assert surface == OPTIONS
+    assert sum(map(len, surface.values())) == 46
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigs", "--seed", 1],
+    ["periodogram", "events.csv", "--seed", 1],
+    ["coherence", "events.csv", "--seed", 1],
+    ["test-stationarity", "events.csv", "--seed", 1],
+    ["test-stationarity", "events.csv", "--flavor", "real"],
+])
+def test_removed_flag_is_usage_error(tmp_path, capsys, argv):
+    # the seed was never read by these commands, and the wavelet fixes the flavor
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", tmp_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

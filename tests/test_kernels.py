@@ -285,6 +285,21 @@ class TestSmoothingWindow:
         with pytest.raises(ValidationError):
             SmoothingWindow.tabulated(pts, vals, kappa=2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        pts = np.linspace(-0.5, 0.5, 11)
+        vals = np.ones(11)
+        vals[3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            SmoothingWindow.tabulated(pts, vals, kappa=2.0)
+
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.0,inf"])
+    def test_non_finite_csv_row_rejected(self, tmp_path, row):
+        path = tmp_path / "win.csv"
+        path.write_text(f"-0.5,1.0\n-0.25,1.0\n{row}\n0.25,1.0\n0.5,1.0\n")
+        with pytest.raises(ValidationError, match="finite"):
+            SmoothingWindow.from_csv(path, kappa=3.0)
+
     def test_window_csv(self, tmp_path):
         path = tmp_path / "win.csv"
         pts = np.linspace(-0.5, 0.5, 51)

@@ -138,6 +138,24 @@ class TestTabulatedIO:
         with pytest.raises(ValidationError):
             Wavelet.tabulated(x, np.ones_like(x))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, morlet, bad):
+        # refused before the spline fit, whose ValueError is no documented error
+        x = np.linspace(-4, 4, 64)
+        vals = morlet(x)
+        vals[10] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Wavelet.tabulated(x, vals)
+
+    @pytest.mark.parametrize("row", ["nan,0.0", "0.0,nan", "0.0,0.1,inf"])
+    def test_non_finite_csv_row_rejected(self, tmp_path, row):
+        rows = [f"{t!r},{math.exp(-t * t)!r}" for t in np.linspace(-4, 4, 17).tolist()]
+        rows[8] = row
+        path = tmp_path / "wavelet.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match="finite"):
+            Wavelet.from_csv(path)
+
 
 class TestNamed:
     def test_builtins_compare_by_value(self):
