@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: simulate, eigs, periodogram, coherence, test-stationarity,
-reproduce. Parameters may come from a JSON config file (--config) with
-command-line flags taking precedence; a setting given by neither takes the
-library's default, apart from the CLI's own below. Only simulate and reproduce
-take --seed. Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
+reproduce. build_parser() declares each setting's flag, type, choices and
+CLI default once. A JSON config file (--config) may set any option of its
+command, named without the dashes and read as its text after the flag would
+be, and the keys in CONFIG_ONLY; any other key is a config error. A flag beats
+the file, which beats the CLI default, which beats the library's default.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ EXIT_NUMERICAL = 4
 # the library's energy default (eigensys.DEFAULT_ENERGY_CUTOFF) keeps more.
 CLI_ENERGY_CUTOFF = 0.999
 CLI_KAPPA = 10.0
+# Config-file keys that no flag declares, read by the command itself
+CONFIG_ONLY = {"simulate": {"lambda", "params", "segments"}, "periodogram": {"a-grid", "b-grid"},
+               "coherence": {"a-grid", "b-grid"}, "reproduce": {"args"}}
 
 
 def _load_config(path: str | None) -> dict:
@@ -50,23 +55,48 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, name: str, default=None):
-    """Flag wins over config file wins over default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv again with the --config file's values as the command's defaults.
+
+    Each value reads as its text would after its flag, and a flag beats the file.
+    Keys in CONFIG_ONLY land in args.config_only; any other key is a ConfigError.
+    """
+    args = parser.parse_args(argv)
+    cfg = _load_config(args.config)
+    options = {a.option_strings[0].lstrip("-"): a for a in args.parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(options) - CONFIG_ONLY.get(args.command, set()))
+    if unknown:
+        raise ConfigError(f"{args.command} takes no config key {', '.join(map(repr, unknown))}")
+    defaults = {}
+    for key in cfg.keys() & options.keys():
+        action = options[key]
+        try:
+            value = defaults[action.dest] = (action.type or str)(str(cfg[key]))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: invalid value {cfg[key]!r}") from None
+    args.parser.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    args.config_only = {key: value for key, value in cfg.items() if key not in options}
+    return args
 
 
-def _given(args, cfg: dict, **casts) -> dict:
-    """Settings given by a flag or the config file, cast; the library fills the rest."""
-    values = {key: _setting(args, cfg, key.replace("_", "-")) for key in casts}
-    return {key: casts[key](value) for key, value in values.items() if value is not None}
+def _given(args, *names) -> dict:
+    """The named settings given by a flag or the config file; the library fills the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _make_wavelet(args, cfg: dict) -> Wavelet:
-    return Wavelet.named(_setting(args, cfg, "wavelet", "morlet"),
-                         **_given(args, cfg, alpha=float))
+def _numbers(cfg: dict, key: str) -> np.ndarray:
+    """A config-only number or list of numbers, or a ConfigError naming its key."""
+    try:
+        values = np.asarray(cfg.get(key))
+    except ValueError:  # a ragged list
+        values = np.array(None)
+    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise ConfigError(f"config key {key!r} must hold finite numbers, got {cfg.get(key)!r}")
+    return values.astype(float)
 
 
 def _out_dir(args) -> str:
@@ -76,33 +106,26 @@ def _out_dir(args) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    kind = _setting(args, cfg, "kind")
-    seed = int(_setting(args, cfg, "seed", 0))
+    cfg, kind, T, seed = args.config_only, args.kind, args.T, args.seed
+    if kind in ("poisson", "hawkes") and (T is None or not T > 0):
+        raise ConfigError(f"{kind} simulation needs a positive horizon T")
     if kind == "poisson":
-        rates = cfg.get("lambda") or cfg.get("rates")
-        if rates is None:
-            raise ConfigError("poisson simulation needs 'lambda' in the config")
-        T = float(_setting(args, cfg, "T", 0.0) or 0.0)
-        if T <= 0:
-            raise ConfigError("simulation needs a positive horizon T")
-        stream = simulate_poisson(rates, T, seed=seed)
-        params_echo = {"kind": "poisson", "lambda": rates, "T": T}
+        stream = simulate_poisson(_numbers(cfg, "lambda"), T, seed=seed)
+        params_echo = {"kind": "poisson", "lambda": cfg["lambda"], "T": T}
     elif kind == "hawkes":
-        params = HawkesParams.from_dict(cfg.get("params", cfg))
-        T = float(_setting(args, cfg, "T", 0.0) or 0.0)
-        if T <= 0:
-            raise ConfigError("simulation needs a positive horizon T")
+        params = HawkesParams.from_dict(cfg.get("params"))
         stream = simulate_hawkes(params, T, seed=seed)
         params_echo = {"kind": "hawkes", "nu": params.nu.tolist(),
                        "alpha": params.alpha.tolist(),
                        "beta": params.beta.tolist(), "T": T}
     elif kind == "piecewise":
         seg_cfg = cfg.get("segments")
-        if not seg_cfg:
-            raise ConfigError("piecewise simulation needs 'segments' in the config")
-        segments = [((float(s["t0"]), float(s["t1"])),
-                     HawkesParams.from_dict(s["params"])) for s in seg_cfg]
+        try:
+            segments = [((float(s["t0"]), float(s["t1"])),
+                         HawkesParams.from_dict(s["params"])) for s in seg_cfg]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("config key 'segments' must list objects with numbers t0 and "
+                              f"t1 and a params object ({type(exc).__name__}: {exc})") from None
         stream = simulate_piecewise(segments, seed=seed)
         params_echo = {"kind": "piecewise", "segments": seg_cfg, "T": stream.T}
     else:
@@ -121,12 +144,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eigs(args) -> int:
-    cfg = _load_config(args.config)
-    wavelet = _make_wavelet(args, cfg)
-    kappa = float(_setting(args, cfg, "kappa", CLI_KAPPA))
-    cutoff = float(_setting(args, cfg, "energy-cutoff", CLI_ENERGY_CUTOFF))
-    system = eigensystem(wavelet, SmoothingWindow.rectangular(kappa),
-                         energy_cutoff=cutoff, **_given(args, cfg, n_points=int))
+    wavelet = Wavelet.named(args.wavelet, **_given(args, "alpha"))
+    system = eigensystem(wavelet, SmoothingWindow.rectangular(args.kappa),
+                         energy_cutoff=args.energy_cutoff, **_given(args, "n_points"))
     out = _out_dir(args)
     eig_path = os.path.join(out, "eigenvalues.csv")
     with open(eig_path, "w") as fh:
@@ -143,8 +163,8 @@ def cmd_eigs(args) -> int:
         # x, then re and im of each eigen-wavelet, one row per grid point
         rows = np.column_stack([system.grid, system.eigen_wavelets_at(system.grid).view(float)])
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
-    meta = {"wavelet": wavelet.label, "alpha": wavelet.alpha, "kappa": kappa,
-            "n_points": system.kernel.n_points, "energy_cutoff": cutoff,
+    meta = {"wavelet": wavelet.label, "alpha": wavelet.alpha, "kappa": args.kappa,
+            "n_points": system.kernel.n_points, "energy_cutoff": args.energy_cutoff,
             "n_retained": system.n_retained,
             "dof": system.degrees_of_freedom(), "diagnostics": system.diagnostics}
     with open(os.path.join(out, "eigs.json"), "w") as fh:
@@ -156,25 +176,24 @@ def cmd_eigs(args) -> int:
 
 def cmd_field(args) -> int:
     """periodogram and coherence: one field sweep; coherence adds the null percentile."""
-    cfg = _load_config(args.config)
     stream = load_csv(args.events)
     want_coherence = args.command == "coherence"
     if want_coherence and stream.p < 2:
         raise DataError("coherence requires at least two component streams")
-    wavelet = _make_wavelet(args, cfg)
+    wavelet = Wavelet.named(args.wavelet, **_given(args, "alpha"))
     fc = FieldConfig(
         wavelet=wavelet,
-        window=SmoothingWindow.rectangular(float(_setting(args, cfg, "kappa", CLI_KAPPA))),
-        a_grid=np.asarray(cfg["a-grid"], dtype=float) if "a-grid" in cfg else None,
-        b_grid=np.asarray(cfg["b-grid"], dtype=float) if "b-grid" in cfg else None,
-        energy_cutoff=float(_setting(args, cfg, "energy-cutoff", CLI_ENERGY_CUTOFF)),
-        **_given(args, cfg, n_a=int, n_b=int, a_min=float, n_points=int),
+        window=SmoothingWindow.rectangular(args.kappa),
+        energy_cutoff=args.energy_cutoff,
+        **{key.replace("-", "_"): _numbers(args.config_only, key)
+           for key in ("a-grid", "b-grid") if key in args.config_only},
+        **_given(args, "n_a", "n_b", "a_min", "n_points"),
     )
     result = field(stream, fc)
     meta = result.meta
     stem, note = "field", f" ({meta['n_valid']}/{meta['n_grid']} grid points valid)"
     if want_coherence:
-        q = float(_setting(args, cfg, "percentile", 0.95))
+        q = args.percentile
         meta["null_percentile_q"] = q
         meta["null_percentile"] = null_percentile(Flavor.of(wavelet), meta["dof"], q)
         stem, note = "coherence", f"; null {q:.0%} percentile = {meta['null_percentile']:.4f}"
@@ -188,11 +207,9 @@ def cmd_field(args) -> int:
 
 
 def cmd_test_stationarity(args) -> int:
-    cfg = _load_config(args.config)
     stream = load_csv(args.events)
-    config = StationarityConfig(wavelet=_make_wavelet(args, cfg),
-                                **_given(args, cfg, kappa=float, c=float, J=int,
-                                         n_points=int))
+    config = StationarityConfig(wavelet=Wavelet.named(args.wavelet, **_given(args, "alpha")),
+                                **_given(args, "kappa", "c", "J", "n_points"))
     report = stationarity_test(stream, config)
     out = _out_dir(args)
     path = os.path.join(out, "stationarity.json")
@@ -207,13 +224,11 @@ def cmd_test_stationarity(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cfg = _load_config(args.config)
-    kwargs = dict(cfg.get("args", {}))
-    if args.replicates is not None:
-        kwargs["replicates"] = args.replicates
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    summary = studies.run_study(args.study, out_dir=_out_dir(args), **kwargs)
+    kwargs = args.config_only.get("args", {})
+    if not isinstance(kwargs, dict):
+        raise ConfigError(f"config key 'args' must be an object, got {kwargs!r}")
+    summary = studies.run_study(args.study, out_dir=_out_dir(args),
+                                **dict(kwargs, **_given(args, "replicates", "seed")))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -224,66 +239,65 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wavelet spectral analysis for multivariate point processes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, events=False, seed=False):
+    def command(name, help_text, func, events=False):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default .)")
-        if seed:
-            p.add_argument("--seed", type=int, help="master seed")
         if events:
             p.add_argument("events", help="event CSV file")
+        return p
 
-    def kernel(p):
-        p.add_argument("--wavelet", choices=["morlet", "mexhat"])
+    def kernel(p, kappa=CLI_KAPPA):
+        p.add_argument("--wavelet", choices=["morlet", "mexhat"], default="morlet",
+                       help="(default %(default)s)")
         p.add_argument("--alpha", type=float)
-        p.add_argument("--kappa", type=float)
+        p.add_argument("--kappa", type=float, default=kappa,
+                       help="window width" + (" (default %(default)s)" if kappa else ""))
         p.add_argument("--n-points", type=int, dest="n_points")
 
-    p = sub.add_parser("simulate", help="simulate Poisson/Hawkes event streams")
-    common(p, seed=True)
+    cutoff = dict(type=float, dest="energy_cutoff", default=CLI_ENERGY_CUTOFF,
+                  help="(default %(default)s)")
+
+    p = command("simulate", "simulate Poisson/Hawkes event streams", cmd_simulate)
+    p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     p.add_argument("--kind", choices=["poisson", "hawkes", "piecewise"])
     p.add_argument("--T", type=float, help="horizon")
-    p.add_argument("--name", default="events", help="output file stem")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--name", default="events", help="output file stem (default %(default)s)")
 
-    p = sub.add_parser("eigs", help="eigenvalues and eigen-wavelets of the kernel")
-    common(p)
+    p = command("eigs", "eigenvalues and eigen-wavelets of the kernel", cmd_eigs)
     kernel(p)
-    p.add_argument("--energy-cutoff", type=float, dest="energy_cutoff")
-    p.set_defaults(func=cmd_eigs)
+    p.add_argument("--energy-cutoff", **cutoff)
 
     for name, help_text in [("periodogram", "smoothed wavelet periodogram field"),
                             ("coherence", "wavelet coherence field with null percentile")]:
-        p = sub.add_parser(name, help=help_text)
-        common(p, events=True)
+        p = command(name, help_text, cmd_field, events=True)
         kernel(p)
         p.add_argument("--n-a", type=int, dest="n_a")
         p.add_argument("--n-b", type=int, dest="n_b")
         p.add_argument("--a-min", type=float, dest="a_min")
-        p.add_argument("--energy-cutoff", type=float, dest="energy_cutoff")
+        p.add_argument("--energy-cutoff", **cutoff)
         if name == "coherence":
-            p.add_argument("--percentile", type=float)
-        p.set_defaults(func=cmd_field)
+            p.add_argument("--percentile", type=float, default=0.95,
+                           help="null percentile level (default %(default)s)")
 
-    p = sub.add_parser("test-stationarity", help="dyadic LRT for stationarity")
-    common(p, events=True)
-    kernel(p)
+    p = command("test-stationarity", "dyadic LRT for stationarity", cmd_test_stationarity,
+                events=True)
+    kernel(p, kappa=None)
     p.add_argument("--c", type=float)
     p.add_argument("--J", type=int)
-    p.set_defaults(func=cmd_test_stationarity)
 
-    p = sub.add_parser("reproduce", help="run a canned validation study")
-    common(p, seed=True)
+    p = command("reproduce", "run a canned validation study", cmd_reproduce)
+    p.add_argument("--seed", type=int, help="master seed (default: the study's)")
     p.add_argument("study", choices=sorted(studies.STUDIES))
     p.add_argument("--replicates", type=int)
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse(build_parser(), argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

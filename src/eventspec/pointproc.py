@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 
 # Simulators refuse designs whose stationary expected event count exceeds
 # this, so a near-critical Hawkes process fails fast instead of exhausting
 # memory.
 MAX_EXPECTED_EVENTS = 10**7
+# load_csv refuses more streams than this before allocating any: the largest p
+# whose omega at a single grid point (p x p complex) fits kernels.MAX_FIELD_BYTES.
+MAX_STREAMS = 8192
 
 
 class EventStream:
@@ -69,22 +72,26 @@ def load_csv(path) -> EventStream:
     """Read an event file: optional header '# p=<int> T=<float>', rows 'stream,time'.
 
     Without a header, p is the largest stream index seen and T the maximum
-    time rounded up to the next integer.
+    time rounded up to the next integer. A p above MAX_STREAMS is a ParseError.
     """
     header_p = None
     header_T = None
-    rows: list[tuple[int, float]] = []
+    indices: list[int] = []
+    times: list[float] = []
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].replace(",", " ").split():
-                    if token.startswith("p="):
-                        header_p = int(token[2:])
-                    elif token.startswith("T="):
-                        header_T = float(token[2:])
+                try:
+                    for token in line[1:].replace(",", " ").split():
+                        if token.startswith("p="):
+                            header_p = int(token[2:])
+                        elif token.startswith("T="):
+                            header_T = float(token[2:])
+                except ValueError as exc:
+                    raise ParseError(f"bad header: {exc}", lineno) from None
                 continue
             parts = line.split(",")
             if len(parts) != 2:
@@ -98,19 +105,25 @@ def load_csv(path) -> EventStream:
                 raise ParseError(f"stream index must be >= 1, got {idx}", lineno)
             if not math.isfinite(t) or t <= 0:
                 raise ParseError(f"event time must be positive and finite, got {t}", lineno)
-            rows.append((idx, t))
+            indices.append(idx)
+            times.append(t)
 
-    p = header_p if header_p is not None else (max(r[0] for r in rows) if rows else 0)
+    max_idx = max(indices, default=0)
+    p = header_p if header_p is not None else max_idx
     if p <= 0:
         raise ParseError("cannot infer stream count: empty file without header")
-    if rows and max(r[0] for r in rows) > p:
-        raise ParseError(f"stream index {max(r[0] for r in rows)} exceeds declared p={p}")
-    max_t = max((r[1] for r in rows), default=0.0)
+    if p > MAX_STREAMS:
+        raise ParseError(f"p={p} streams exceeds the limit of {MAX_STREAMS}")
+    if max_idx > p:
+        raise ParseError(f"stream index {max_idx} exceeds declared p={p}")
+    max_t = max(times, default=0.0)
     T = header_T if header_T is not None else float(math.ceil(max_t)) or 1.0
     if max_t > T:
         raise ParseError(f"event time {max_t} exceeds declared T={T}")
-    streams = [sorted(t for idx, t in rows if idx == i + 1) for i in range(p)]
-    return EventStream(streams, T)
+    # one pass: sort by stream, then time, and cut at each stream's first row
+    idx, t = np.array(indices, dtype=np.int64), np.array(times, dtype=float)
+    order = np.lexsort((t, idx))
+    return EventStream(np.split(t[order], np.searchsorted(idx[order], np.arange(2, p + 1))), T)
 
 
 def save_csv(stream: EventStream, path) -> None:
@@ -140,10 +153,15 @@ class HawkesParams:
     def __post_init__(self):
         nu = np.atleast_1d(np.asarray(self.nu, dtype=float))
         p = nu.size
-        alpha = np.asarray(self.alpha, dtype=float) * np.ones((p, p))
-        beta = np.asarray(self.beta, dtype=float) * np.ones((p, p))
-        if alpha.shape != (p, p) or beta.shape != (p, p):
-            raise ValidationError("alpha and beta must broadcast to p x p")
+        if p == 0:
+            raise ValidationError("nu needs at least one rate")
+        try:
+            alpha = np.broadcast_to(np.asarray(self.alpha, dtype=float), (p, p)).copy()
+            beta = np.broadcast_to(np.asarray(self.beta, dtype=float), (p, p)).copy()
+        except ValueError:
+            raise ValidationError("alpha and beta must broadcast to p x p") from None
+        if not all(np.isfinite(x).all() for x in (nu, alpha, beta)):
+            raise ValidationError("nu, alpha and beta must be finite")
         if np.any(nu < 0) or np.any(alpha < 0):
             raise ValidationError("nu and alpha must be non-negative")
         if np.any(beta <= 0):
@@ -168,12 +186,17 @@ class HawkesParams:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "HawkesParams":
+        """Parameters from a config's params object; ConfigError if it does not read."""
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"Hawkes params must be an object with nu, alpha and beta, "
+                              f"got {cfg!r}")
         try:
-            return cls(nu=np.asarray(cfg["nu"], dtype=float),
-                       alpha=np.asarray(cfg["alpha"], dtype=float),
-                       beta=np.asarray(cfg["beta"], dtype=float))
+            values = {key: np.asarray(cfg[key], dtype=float) for key in ("nu", "alpha", "beta")}
         except KeyError as exc:
             raise ValidationError(f"Hawkes config missing key {exc}") from None
+        except (TypeError, ValueError):  # not numbers, or ragged
+            raise ConfigError(f"Hawkes params must hold numbers, got {cfg!r}") from None
+        return cls(**values)
 
 
 def simulate_poisson(rates, T: float, seed) -> EventStream:

@@ -169,11 +169,14 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
     """Evaluate Omega and gamma^2 on the grid, restricted to the triangle.
 
     Points outside the valid region are marked invalid and left as NaN.
-    Raises ConfigError for an empty grid, one whose omega would exceed
-    MAX_FIELD_BYTES, an a_min that is not positive and finite, or a grid
-    with no valid point.
+    Raises ConfigError for an empty grid or one that is not 1-D, one whose
+    omega would exceed MAX_FIELD_BYTES, an a_min that is not positive and
+    finite, or a grid with no valid point.
     """
     wav, win = config.wavelet, config.window
+    for name, grid in (("a_grid", config.a_grid), ("b_grid", config.b_grid)):
+        if grid is not None and np.ndim(grid) != 1:
+            raise ConfigError(f"{name} must be 1-D, got shape {np.shape(grid)}")
     n_a = config.n_a if config.a_grid is None else np.size(config.a_grid)
     n_b = config.n_b if config.b_grid is None else np.size(config.b_grid)
     if min(n_a, n_b) < 1:

@@ -12,6 +12,7 @@ execution order or parallelism.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -303,9 +304,15 @@ STUDIES = {
 
 
 def run_study(name: str, out_dir: str | None = None, **kwargs) -> dict:
-    """Dispatch a named study and optionally persist its summary."""
+    """Dispatch a named study and optionally persist its summary.
+
+    Raises ConfigError for an unknown study or a keyword the study does not take.
+    """
     if name not in STUDIES:
         raise ConfigError(f"unknown study {name!r}; available: {sorted(STUDIES)}")
+    unknown = sorted(set(kwargs) - set(inspect.signature(STUDIES[name]).parameters))
+    if unknown:
+        raise ConfigError(f"study {name!r} takes no parameter {', '.join(map(repr, unknown))}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         kwargs = dict(kwargs, out_dir=out_dir)

@@ -321,3 +321,74 @@ def test_removed_flag_is_usage_error(tmp_path, capsys, argv):
         run([*argv, "--out", tmp_path])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+HAWKES = {"nu": [1.0], "alpha": [[0.5]], "beta": [[1.0]]}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("periodogram", {"n-a": "x"}, "n-a"),
+    ("coherence", {"percentile": "high"}, "percentile"),
+    ("coherence", {"energy-cutoff": "x"}, "energy-cutoff"),
+    ("coherence", {"n-points": "many"}, "n-points"),
+    ("coherence", {"kapa": 3}, "kapa"),
+    ("coherence", {"n-a": 4.7}, "n-a"),
+    ("coherence", {"a-grid": "abc", "b-grid": [100.0]}, "a-grid"),
+    ("coherence", {"a-grid": [3.0], "b-grid": [[100.0], [1.0, 2.0]]}, "b-grid"),
+    ("test-stationarity", {"flavor": "real"}, "flavor"),
+    ("test-stationarity", {"J": 2.9}, "J"),
+    ("simulate", {"kind": "poisson", "lambda": [1.0], "T": "ten"}, "T"),
+    ("simulate", {"kind": "poisson", "lambda": [1.0], "T": 10.0, "seed": "s"}, "seed"),
+    ("simulate", {"kind": "poisson", "lambda": "x", "T": 10.0}, "lambda"),
+    ("simulate", {"kind": "hawkes", "T": 10.0, "params": 5}, "params"),
+    ("simulate", {"kind": "piecewise", "segments": [{"t0": 0.0, "params": HAWKES}]}, "t1"),
+    ("simulate", {"kind": "piecewise", "segments": [{"t1": 9.0, "params": HAWKES}]}, "t0"),
+    ("simulate", {"kind": "piecewise", "segments": [{"t0": 0.0, "t1": 9.0}]}, "params"),
+    # the removed aliases: 'rates' for 'lambda', and Hawkes keys outside 'params'
+    ("simulate", {"kind": "poisson", "rates": [1.0], "T": 10.0}, "rates"),
+    ("simulate", {"kind": "hawkes", "T": 10.0, **HAWKES}, "nu"),
+    ("reproduce", {"args": {"bogus": 1}}, "bogus"),
+    ("reproduce", {"args": 5}, "args"),
+    ("reproduce", {"seed": 3}, "seed"),  # read as --seed, which dof-table does not take
+])
+def test_bad_config_value_is_config_error(tmp_path, poisson_file, capsys, command, cfg, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    positional = {"simulate": [], "reproduce": ["dof-table"]}.get(command, [poisson_file])
+    assert run([command, *positional, "--config", path, "--out", tmp_path / "out"]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_grid_that_is_not_1d_is_config_error(tmp_path, poisson_file, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"a-grid": [[3.0, 4.0]], "b-grid": [100.0]}))
+    assert run(["coherence", poisson_file, "--config", path, "--out", tmp_path]) == 2
+    assert "a_grid must be 1-D" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "default"])
+def test_flag_beats_config_beats_cli_default(tmp_path, poisson_file, source):
+    which = ["flag", "config", "default"].index(source)
+    cases = [  # argv, meta file, config, flags, {meta key: (by flag, by config, CLI default)}
+        (["eigs"], "eigs.json", {"kappa": 12.0}, ["--kappa", 14], {"kappa": (14.0, 12.0, 10.0)}),
+        (["coherence", poisson_file, "--n-a", 3, "--n-b", 6], "coherence_meta.json",
+         {"energy-cutoff": 0.99, "percentile": 0.9},
+         ["--energy-cutoff", 0.995, "--percentile", 0.8],
+         {"energy_cutoff": (0.995, 0.99, 0.999), "null_percentile_q": (0.8, 0.9, 0.95)}),
+    ]
+    for argv, meta_file, cfg, flags, expected in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        given = {"flag": ["--config", path, *flags], "config": ["--config", path], "default": []}
+        assert run([*argv, "--n-points", 128, "--out", tmp_path, *given[source]]) == 0
+        meta = json.loads((tmp_path / meta_file).read_text())
+        assert {key: meta[key] for key in expected} == \
+            {key: values[which] for key, values in expected.items()}
+
+
+def test_reproduce_reads_top_level_seed_and_replicates(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 3, "replicates": 2, "args": {"T": 200.0}}))
+    assert run(["reproduce", "test-size", "--config", path, "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "test-size.json").read_text())
+    assert (doc["seed"], doc["replicates"]) == (3, 2)

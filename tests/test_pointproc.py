@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as sstats
 
 from eventspec import pointproc
+from eventspec import ConfigError
 from eventspec import (EventStream, HawkesParams, ParseError,
                        ValidationError, Wavelet,
                        coherence_theoretical, hawkes_spectrum, load_csv,
@@ -334,3 +335,59 @@ class TestTwoSegmentSize:
         # 99% binomial band around 0.05 for 150 draws, padded for the
         # asymptotic approximation error
         assert 0.005 <= rejections / n_rep <= 0.13
+
+
+class TestCsvLimits:
+    @pytest.mark.parametrize("text", ["# p=1000000000 T=10.0\n",
+                                      f"{pointproc.MAX_STREAMS + 1},1.0\n"])
+    def test_stream_count_above_cap_refused_before_allocation(self, tmp_path, monkeypatch,
+                                                              text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("streams allocated")
+
+        monkeypatch.setattr(pointproc, "EventStream", refuse)
+        monkeypatch.setattr(np, "split", refuse)
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=str(pointproc.MAX_STREAMS)):
+            load_csv(path)
+
+    def test_stream_count_at_cap_loads(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"# p={pointproc.MAX_STREAMS} T=10.0\n3,1.5\n")
+        stream = load_csv(path)
+        assert stream.p == pointproc.MAX_STREAMS and stream.counts().sum() == 1
+
+    def test_malformed_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# p=two T=10.0\n1,1.0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_csv(path)
+
+    def test_grouping_matches_per_stream_sort(self, tmp_path):
+        # the earlier reader sorted each stream's rows separately: the oracle
+        rng = np.random.default_rng(5)
+        idx = rng.integers(1, 8, 3000).tolist()
+        times = rng.uniform(0.0, 50.0, 3000).tolist()
+        path = tmp_path / "mixed.csv"
+        path.write_text("# p=9 T=50.0\n" + "".join(f"{i},{t!r}\n" for i, t in zip(idx, times)))
+        expected = [sorted(t for i, t in zip(idx, times) if i == k + 1) for k in range(9)]
+        assert [seq.tolist() for seq in load_csv(path).events] == expected
+
+
+class TestHawkesParamsInput:
+    @pytest.mark.parametrize("cfg", [5, [1.0], None, dict(nu=["x"], alpha=0.5, beta=1.0),
+                                     dict(nu=[1.0], alpha=[[0.5], [0.1, 0.2]], beta=1.0)])
+    def test_unreadable_params_are_config_error(self, cfg):
+        with pytest.raises(ConfigError):
+            HawkesParams.from_dict(cfg)
+
+    @pytest.mark.parametrize("cfg", [dict(nu=[1.0, 1.0], alpha=[0.1, 0.2, 0.3], beta=1.0),
+                                     dict(nu=[1.0], alpha=np.zeros((2, 1, 1)), beta=1.0),
+                                     dict(nu=[], alpha=[], beta=[]),
+                                     dict(nu=[float("nan")], alpha=0.5, beta=1.0),
+                                     dict(nu=[1.0], alpha=float("inf"), beta=1.0),
+                                     dict(nu=[1.0], beta=1.0)])
+    def test_params_that_break_the_model_are_validation_errors(self, cfg):
+        with pytest.raises(ValidationError):
+            HawkesParams.from_dict(cfg)

@@ -206,6 +206,14 @@ class TestField:
         with pytest.raises(ConfigError):
             field(s, cfg)
 
+    @pytest.mark.parametrize("grids", [dict(a_grid=np.array([[3.0, 4.0]])),
+                                       dict(a_grid=np.array(3.0)),
+                                       dict(a_grid=np.array([3.0]), b_grid=[[25.0], [30.0]])])
+    def test_grid_that_is_not_1d_rejected(self, grids):
+        s = simulate_poisson([2.0, 2.0], 50.0, seed=3)
+        with pytest.raises(ConfigError, match="must be 1-D"):
+            field(s, self.make_config(**grids))
+
     @pytest.mark.parametrize("sizes", [dict(n_a=0), dict(n_b=-3), dict(a_grid=np.array([])),
                                        dict(n_a=10**6, n_b=10**6), dict(n_a=4097, n_b=4096)])
     def test_bad_grid_size_rejected_before_allocation(self, sizes, monkeypatch):
