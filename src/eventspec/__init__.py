@@ -22,8 +22,7 @@ from .pointproc import (EventStream, HawkesParams, coherence_theoretical,
                         hawkes_spectrum, load_csv, save_csv, simulate_hawkes,
                         simulate_piecewise, simulate_poisson)
 from .spectra import (FieldConfig, SpectralField, coherence, cwt, denormalize_coords,
-                      eigen_cwt, field, normalize_coords, periodogram,
-                      smoothed_periodogram_eigen)
+                      eigen_cwt, field, smoothed_periodogram_eigen)
 from .wavelets import Wavelet, WaveletKind, autocorrelation, central_frequency
 
 __version__ = "0.1.0"
@@ -37,7 +36,7 @@ __all__ = [
     "autocorrelation", "central_frequency", "chi2_sf", "coherence", "coherence_density",
     "coherence_theoretical", "cwt", "denormalize_coords", "dof_closed_form", "eigen_cwt",
     "eigensystem", "eigensystem_cached", "field", "hawkes_spectrum", "hyp2f1", "kernel_value",
-    "load_csv", "lrt_statistic", "normalize_coords", "null_percentile", "nystrom_decompose",
-    "periodogram", "save_csv", "simulate_hawkes", "simulate_piecewise", "simulate_poisson",
-    "smoothed_periodogram_eigen", "stationarity_test",
+    "load_csv", "lrt_statistic", "null_percentile", "nystrom_decompose", "save_csv",
+    "simulate_hawkes", "simulate_piecewise", "simulate_poisson", "smoothed_periodogram_eigen",
+    "stationarity_test",
 ]

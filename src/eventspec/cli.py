@@ -20,7 +20,7 @@ import numpy as np
 
 from . import studies
 from .eigensys import eigensystem
-from .errors import ConfigError, DataError, EventspecError, NumericalError
+from .errors import ConfigError, DataError, EventspecError, NumericalError, json_text
 from .inference import Flavor, StationarityConfig, null_percentile, stationarity_test
 from .kernels import SmoothingWindow
 from .pointproc import HawkesParams, load_csv, save_csv, simulate_hawkes, \
@@ -131,13 +131,12 @@ def cmd_simulate(args) -> int:
     else:
         raise ConfigError("simulate needs kind in {poisson, hawkes, piecewise}")
 
+    sidecar = json_text(dict(params_echo, seed=seed, p=stream.p, counts=stream.counts().tolist()))
     out = _out_dir(args)
     events_path = os.path.join(out, args.name + ".csv")
     save_csv(stream, events_path)
-    sidecar = dict(params_echo, seed=seed, p=stream.p,
-                   counts=stream.counts().tolist())
     with open(os.path.join(out, args.name + ".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write(sidecar)
     print(f"wrote {events_path} ({stream.p} streams, "
           f"{int(stream.counts().sum())} events)")
     return 0
@@ -147,6 +146,11 @@ def cmd_eigs(args) -> int:
     wavelet = Wavelet.named(args.wavelet, **_given(args, "alpha"))
     system = eigensystem(wavelet, SmoothingWindow.rectangular(args.kappa),
                          energy_cutoff=args.energy_cutoff, **_given(args, "n_points"))
+    meta = {"wavelet": wavelet.label, "alpha": wavelet.alpha, "kappa": args.kappa,
+            "n_points": system.kernel.n_points, "energy_cutoff": args.energy_cutoff,
+            "n_retained": system.n_retained,
+            "dof": system.degrees_of_freedom(), "diagnostics": system.diagnostics}
+    text = json_text(meta)
     out = _out_dir(args)
     eig_path = os.path.join(out, "eigenvalues.csv")
     with open(eig_path, "w") as fh:
@@ -163,12 +167,8 @@ def cmd_eigs(args) -> int:
         # x, then re and im of each eigen-wavelet, one row per grid point
         rows = np.column_stack([system.grid, system.eigen_wavelets_at(system.grid).view(float)])
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
-    meta = {"wavelet": wavelet.label, "alpha": wavelet.alpha, "kappa": args.kappa,
-            "n_points": system.kernel.n_points, "energy_cutoff": args.energy_cutoff,
-            "n_retained": system.n_retained,
-            "dof": system.degrees_of_freedom(), "diagnostics": system.diagnostics}
     with open(os.path.join(out, "eigs.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write(text)
     print(f"wrote {eig_path} and {wav_path} "
           f"(retained {system.n_retained}, dof {meta['dof']:.3f})")
     return 0
@@ -197,11 +197,12 @@ def cmd_field(args) -> int:
         meta["null_percentile_q"] = q
         meta["null_percentile"] = null_percentile(Flavor.of(wavelet), meta["dof"], q)
         stem, note = "coherence", f"; null {q:.0%} percentile = {meta['null_percentile']:.4f}"
+    text = result.meta_json()
     out = _out_dir(args)
     path = os.path.join(out, stem + ".csv")
     result.to_csv(path)
     with open(os.path.join(out, stem + "_meta.json"), "w") as fh:
-        fh.write(result.meta_json())
+        fh.write(text)
     print(f"wrote {path}{note}")
     return 0
 
@@ -211,10 +212,11 @@ def cmd_test_stationarity(args) -> int:
     config = StationarityConfig(wavelet=Wavelet.named(args.wavelet, **_given(args, "alpha")),
                                 **_given(args, "kappa", "c", "J", "n_points"))
     report = stationarity_test(stream, config)
+    text = report.to_json()
     out = _out_dir(args)
     path = os.path.join(out, "stationarity.json")
     with open(path, "w") as fh:
-        fh.write(report.to_json())
+        fh.write(text)
     print(report)
     if report.meta["excluded_scales"]:
         print(f"warning: scales {report.meta['excluded_scales']} excluded "
@@ -225,11 +227,11 @@ def cmd_test_stationarity(args) -> int:
 
 def cmd_reproduce(args) -> int:
     kwargs = args.config_only.get("args", {})
-    if not isinstance(kwargs, dict):
-        raise ConfigError(f"config key 'args' must be an object, got {kwargs!r}")
+    if not isinstance(kwargs, dict) or "out_dir" in kwargs:
+        raise ConfigError(f"config key 'args' must be an object without out_dir, got {kwargs!r}")
     summary = studies.run_study(args.study, out_dir=_out_dir(args),
                                 **dict(kwargs, **_given(args, "replicates", "seed")))
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json_text(summary))
     return 0
 
 

@@ -123,33 +123,42 @@ class EigenSystem:
     # -- evaluation -----------------------------------------------------
 
     def _gather(self, x):
-        # support mask; for the n points inside, table rows (n, 4, L) and weights
-        # phase * [1, dx, dx^2, dx^3]; uniform knots make the index a floor division
+        # support mask; for the n points inside, table rows (n, 4, L) and the re and im
+        # (2, n, 4) of weights e^{i 2 pi f x} dx^k, dx from the left knot (uniform knots)
         x = np.asarray(x, dtype=float)
         inside = np.abs(x) < self.kernel.width / 2.0
         x = x[inside]
         idx = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
         idx = np.clip(idx, 0, len(self._table) - 1)
-        dx = (x - self._knots[idx])[:, None]
-        weights = np.exp(2j * np.pi * self.modulation * x)[:, None] * dx ** np.arange(4)
-        return inside, self._table[idx], weights
+        dx = x - self._knots[idx]
+        weights = np.empty((2, x.size, 4))
+        weights[:, :, 0] = np.exp(2j * np.pi * self.modulation * x).view(float).reshape(-1, 2).T
+        for k in (1, 2, 3):
+            np.multiply(weights[:, :, k - 1], dx, out=weights[:, :, k])
+        return inside, self._table.take(idx, axis=0), weights
 
     def eigen_wavelets_at(self, x: np.ndarray) -> np.ndarray:
         """Eigen-wavelet values, phase attached, shape (len(x), L); 0 off the support."""
         inside, rows, weights = self._gather(x)
         vals = np.zeros((inside.size, self.n_retained), dtype=complex)
-        vals[inside] = np.einsum("nk,nkl->nl", weights, rows)
+        vals[inside] = np.einsum("nk,nkl->nl", weights[0] + 1j * weights[1], rows)
         return vals
 
     def summed_wavelets_at(self, x: np.ndarray) -> np.ndarray:
-        """eigen_wavelets_at(x).sum(axis=0) without forming that (len(x), L) array.
+        """eigen_wavelets_at(x).sum(axis=0) without forming that (len(x), L) array."""
+        return self.summed_wavelets_by_run(x, [np.size(x)])[0]
 
-        The real and imaginary parts of the weights form two rows, contracted
-        with the gathered table rows in one matrix product.
-        """
-        _, rows, weights = self._gather(x)
-        sums = weights.view(float).reshape(-1, 2).T @ rows.reshape(-1, self.n_retained)
-        return sums[0] + 1j * sums[1]
+    def summed_wavelets_by_run(self, x: np.ndarray, ends) -> np.ndarray:
+        """summed_wavelets_at of each run x[ends[k-1]:ends[k]] (ends[-1] = 0), shape (len(ends), L).
+
+        The re and im rows of a run's weights meet its table rows in one matrix product."""
+        inside, rows, weights = self._gather(x)
+        kept = np.concatenate([[0], np.cumsum(inside)])[np.concatenate([[0], ends])] * 4
+        weights, rows = weights.reshape(2, -1), rows.reshape(-1, self.n_retained)
+        sums = np.empty((len(ends), 2, self.n_retained), dtype=rows.dtype)
+        for k, (lo, hi) in enumerate(zip(kept[:-1].tolist(), kept[1:].tolist())):
+            np.matmul(weights[:, lo:hi], rows[lo:hi], out=sums[k])
+        return sums[:, 0] + 1j * sums[:, 1]
 
     def __repr__(self) -> str:
         return (f"EigenSystem({self.kernel!r}, retained={self.n_retained}, "

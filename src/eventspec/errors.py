@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataError and its
 subclasses -> 3, NumericalError -> 4.
 """
 
+import json
+
 
 class EventspecError(Exception):
     """Base class for all package errors."""
@@ -49,3 +51,11 @@ class DegenerateSegmentError(DataError):
 
 class NumericalError(EventspecError):
     """A numerical routine failed to converge to the requested tolerance."""
+
+
+def json_text(obj, **kwargs) -> str:
+    """The package's JSON text of obj; a NaN or infinity in it is a NumericalError."""
+    try:
+        return json.dumps(obj, allow_nan=False, indent=2, sort_keys=True, **kwargs)
+    except ValueError as exc:
+        raise NumericalError(f"not written: a value is not finite ({exc})") from None

@@ -14,7 +14,6 @@ per scale.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -22,10 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .eigensys import EigenSystem, eigensystem
-from .errors import ConfigError, DegenerateSegmentError, ValidationError
+from .errors import ConfigError, DegenerateSegmentError, ValidationError, json_text
 from .kernels import DEFAULT_GRID_POINTS, SmoothingWindow
 from .pointproc import EventStream
-from .spectra import smoothed_periodogram_eigen
+from .spectra import eigen_expansion, eigen_transforms
 from .wavelets import Wavelet
 
 MAX_J = 12  # finest test scale; scales 1..J take 2^(J+1) - 2 (8,190) segment periodograms
@@ -228,7 +227,7 @@ class StationarityReport:
                 "meta": self.meta}
 
     def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kwargs)
+        return json_text(self.to_dict(), **kwargs)
 
     def __str__(self) -> str:
         lines = ["scale j  segments  -2 log Lambda_j        dof    p-value"]
@@ -302,13 +301,10 @@ def stationarity_test(stream: EventStream,
         K = 2**j
         a_j = T / (K * width)
         dof_j = (K - 1) * p**2
-        omegas = []
-        note = None
+        centres = (2 * np.arange(1, K + 1) - 1) * T / (2 * K)
         try:
-            for k in range(1, K + 1):
-                b_jk = (2 * k - 1) * T / (2 * K)
-                omegas.append(smoothed_periodogram_eigen(stream, system, a_j, b_jk))
-            stat = lrt_statistic(omegas, n_dof, flavor)
+            v = eigen_transforms(stream, system, a_j, centres)
+            stat = lrt_statistic(eigen_expansion(v, system.retained_eigenvalues), n_dof, flavor)
             pval = chi2_sf(stat, dof_j)
             scales.append(ScaleResult(j, K, stat, dof_j, pval, True))
         except DegenerateSegmentError as exc:

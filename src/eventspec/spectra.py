@@ -1,33 +1,33 @@
 """Continuous wavelet transforms of event streams and smoothed periodograms.
 
-The temporally smoothed wavelet periodogram Omega(a, b) is computed by the
-multi-wavelet expansion sum_l eta_l v_l v_l^H, where v_l is the transform
-under eigen-wavelet l, one table gather and matrix product per stream
-(EigenSystem.summed_wavelets_at), O(events x L) per point. Its definition,
-the time average of the rank-one periodogram over the smoothing window (the
-kernel double sum over event pairs), is kept as the direct route in the test
-oracles (tests/oracles.py); the two agree to interpolation accuracy.
+The temporally smoothed wavelet periodogram Omega(a, b) is the multi-wavelet
+expansion sum_l eta_l v_l v_l^H (eigen_expansion) of the transforms v_l under
+the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a
+translation grid in O(pairs x 4L) for its (point, event) pairs; field() and
+stationarity_test call it once per scale, and eigen_cwt is its one-point case.
+Omega's definition, the kernel double sum over event pairs, is the direct route
+of the test oracles (tests/oracles.py); the two agree to interpolation accuracy.
 
-Every transform raises RegionError for a support outside (0, T]. field() masks
-its grid by the same region, so it calls smoothed_periodogram_eigen with
-check_region=False.
+cwt, eigen_cwt and smoothed_periodogram_eigen raise RegionError for a support
+outside (0, T]; eigen_transforms checks no point: its callers pass points inside.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
-from .errors import ConfigError, RegionError, UndefinedCoherenceError, ValidationError
+from .errors import (ConfigError, RegionError, UndefinedCoherenceError, ValidationError,
+                     json_text)
 from .kernels import DEFAULT_GRID_POINTS, MAX_FIELD_BYTES, SmoothingWindow, ValidRegion
 from .pointproc import EventStream
 from .wavelets import Wavelet
 
 MIN_EXPECTED_EVENTS = 10.0  # of the sparsest stream, in the support at field()'s default a_min
+PAIR_BLOCK = 1 << 19  # float64 values of the table rows one block of pairs gathers (4 MB)
 
 
 def cwt(stream: EventStream, wavelet: Wavelet, a: float, b: float) -> np.ndarray:
@@ -47,12 +47,6 @@ def cwt(stream: EventStream, wavelet: Wavelet, a: float, b: float) -> np.ndarray
     return out
 
 
-def periodogram(stream: EventStream, wavelet: Wavelet, a: float, b: float) -> np.ndarray:
-    """Rank-one wavelet periodogram W(a, b) = w w^H."""
-    w = cwt(stream, wavelet, a, b)
-    return np.outer(w, np.conj(w))
-
-
 def _require_inside(region: ValidRegion, a: float, b: float) -> None:
     if a <= 0:
         raise ValidationError("scale a must be positive")
@@ -63,14 +57,48 @@ def _require_inside(region: ValidRegion, a: float, b: float) -> None:
             f"({b - half:.3f}, {b + half:.3f}) not inside (0, {region.T}]")
 
 
+def eigen_transforms(stream: EventStream, system: EigenSystem, a: float,
+                     b_grid) -> np.ndarray:
+    """v_l(a, b) for every b of b_grid at one scale a, shape (n_b, p, L).
+
+    Per stream, two binary searches find every point's events in its support;
+    the (point, event) pairs go to EigenSystem.summed_wavelets_by_run in blocks
+    of at most PAIR_BLOCK // (4 L) pairs and at least one point, so no scale
+    holds all of its pairs at once.
+    """
+    b_grid = np.asarray(b_grid, dtype=float)
+    half = a * system.kernel.width / 2.0
+    max_pairs = max(1, PAIR_BLOCK // (4 * system.n_retained))
+    out = np.empty((b_grid.size, stream.p, system.n_retained), dtype=complex)
+    for i, seq in enumerate(stream.events):
+        first = np.searchsorted(seq, b_grid - half, "left")
+        counts = np.searchsorted(seq, b_grid + half, "right") - first
+        ends = np.cumsum(counts)
+        start = 0
+        while start < b_grid.size:
+            base = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, base + max_pairs, "right")))
+            run_ends, runs = ends[start:stop] - base, counts[start:stop]
+            # a pair's event: its point's first event plus the pair's rank in the run
+            pairs = np.arange(run_ends[-1]) + np.repeat(first[start:stop] - run_ends + runs, runs)
+            x = (seq[pairs] - np.repeat(b_grid[start:stop], runs)) / a
+            out[start:stop, i] = system.summed_wavelets_by_run(x, run_ends)
+            start = stop
+    return out / math.sqrt(a)
+
+
+def eigen_expansion(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Omega = sum_l eta_l v_l v_l^H of transforms v (..., p, L), made exactly Hermitian."""
+    omega = (v * eta) @ np.conj(np.swapaxes(v, -1, -2))
+    return 0.5 * (omega + np.conj(np.swapaxes(omega, -1, -2)))
+
+
 def smoothed_periodogram_eigen(stream: EventStream, system: EigenSystem,
                                a: float, b: float,
                                check_region: bool = True) -> np.ndarray:
     """Omega(a, b) via the eigen-wavelet expansion sum_l eta_l v_l v_l^H."""
-    v = eigen_cwt(stream, system, a, b, check_region=check_region)
-    eta = system.retained_eigenvalues
-    omega = (v * eta[None, :]) @ np.conj(v.T)
-    return 0.5 * (omega + np.conj(omega.T))
+    return eigen_expansion(eigen_cwt(stream, system, a, b, check_region),
+                           system.retained_eigenvalues)
 
 
 def eigen_cwt(stream: EventStream, system: EigenSystem, a: float, b: float,
@@ -84,9 +112,13 @@ def eigen_cwt(stream: EventStream, system: EigenSystem, a: float, b: float,
     if check_region:
         _require_inside(ValidRegion(system.kernel.wavelet.alpha, system.kernel.window.kappa,
                                     stream.T), a, b)
-    half = a * system.kernel.width / 2.0
-    return np.array([system.summed_wavelets_at((stream.window(i, b - half, b + half) - b) / a)
-                     for i in range(stream.p)]) / math.sqrt(a)
+    return eigen_transforms(stream, system, a, [b])[0]
+
+
+def _gamma2(z, dii, djj):
+    # |z|^2 / (dii djj) with |z|^2 as re^2 + im^2; rounding above 1 by at most 1e-9 is clipped
+    value = (z.real * z.real + z.imag * z.imag) / (dii * djj)
+    return np.where(value < 1.0 + 1e-9, np.minimum(value, 1.0), value)
 
 
 def coherence(omega: np.ndarray, i: int, j: int) -> float:
@@ -95,19 +127,12 @@ def coherence(omega: np.ndarray, i: int, j: int) -> float:
     if dii <= 0 or djj <= 0:
         raise UndefinedCoherenceError(
             f"coherence undefined: diagonal entries ({dii:.3e}, {djj:.3e}) not positive")
-    z = omega[i, j]  # |z|^2 as re^2 + im^2, the arithmetic field() uses
-    value = float((z.real * z.real + z.imag * z.imag) / (dii * djj))
-    return min(value, 1.0) if value < 1.0 + 1e-9 else value
-
-
-def normalize_coords(a: float, b: float, T: float, alpha: float, kappa: float):
-    """Map raw (a, b) to the T-free coordinates (a_tilde, b_tilde)."""
-    return a * (alpha + kappa) / T, b / T
+    return float(_gamma2(omega[i, j], dii, djj))
 
 
 def denormalize_coords(a_tilde: float, b_tilde: float, T: float,
                        alpha: float, kappa: float):
-    """Inverse of normalize_coords."""
+    """Raw (a, b) of the T-free coordinates a_tilde = a (alpha + kappa) / T, b_tilde = b / T."""
     return a_tilde * T / (alpha + kappa), b_tilde * T
 
 
@@ -162,7 +187,7 @@ class SpectralField:
             fh.write("a,b,i,j,re,im,coherence,valid\n" + body + "\n")
 
     def meta_json(self) -> str:
-        return json.dumps(self.meta, indent=2, sort_keys=True)
+        return json_text(self.meta)
 
 
 def field(stream: EventStream, config: FieldConfig) -> SpectralField:
@@ -210,14 +235,13 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
     if not valid.any():
         raise ConfigError("no grid point lies inside the valid triangle")
     omega = np.full((a_grid.size, b_grid.size, p, p), np.nan, dtype=complex)
-    for ia, ib in zip(*np.nonzero(valid)):
-        omega[ia, ib] = smoothed_periodogram_eigen(stream, system, a_grid[ia], b_grid[ib],
-                                                   check_region=False)
-    # coherence() over the whole block, NaN where a diagonal entry is not positive
+    for ia in np.flatnonzero(valid.any(axis=1)):
+        v = eigen_transforms(stream, system, a_grid[ia], b_grid[valid[ia]])
+        omega[ia, valid[ia]] = eigen_expansion(v, system.retained_eigenvalues)
+    # coherence() at every (point, i, j), NaN where a diagonal entry is not positive
     diag = np.diagonal(omega, axis1=2, axis2=3).real
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma2 = (omega.real ** 2 + omega.imag ** 2) / (diag[..., :, None] * diag[..., None, :])
-    gamma2 = np.where(gamma2 < 1.0 + 1e-9, np.minimum(gamma2, 1.0), gamma2)
+        gamma2 = _gamma2(omega, diag[..., :, None], diag[..., None, :])
     gamma2[(diag[..., :, None] <= 0) | (diag[..., None, :] <= 0)] = np.nan
 
     meta = {

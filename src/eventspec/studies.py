@@ -13,14 +13,14 @@ execution order or parallelism.
 from __future__ import annotations
 
 import inspect
-import json
 import math
+import numbers
 import os
 
 import numpy as np
 
 from .eigensys import EigenSystem, eigensystem_cached
-from .errors import ConfigError
+from .errors import ConfigError, json_text
 from .inference import (CoherenceDistribution, Flavor, StationarityConfig,
                         null_percentile, stationarity_test)
 from .kernels import ValidRegion
@@ -293,6 +293,8 @@ def run_piecewise_detection(kappa: float = 8.0, c: float = 0.25, J: int = 3,
             "rejection_rates": rate_list, "passed": passed}
 
 
+STRING_CHOICES = {"wavelet_kind": ("morlet", "mexhat"), "process": ("poisson", "hawkes")}
+
 STUDIES = {
     "qq-cwt": run_qq_cwt,
     "qq-coherence": run_qq_coherence,
@@ -303,21 +305,38 @@ STUDIES = {
 }
 
 
+def _valid_argument(key: str, value, default) -> bool:
+    """Whether value is one of STRING_CHOICES for a string default, a non-empty list of numbers
+    for a tuple, or else a finite number >= 0 (as every default is), integral for an int."""
+    if isinstance(default, str):
+        return value in STRING_CHOICES[key]
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(_valid_argument(key, v, default[0]) for v in value))
+    kind = numbers.Integral if isinstance(default, int) else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool) and 0 <= value < math.inf
+
+
 def run_study(name: str, out_dir: str | None = None, **kwargs) -> dict:
     """Dispatch a named study and optionally persist its summary.
 
-    Raises ConfigError for an unknown study or a keyword the study does not take.
+    Raises ConfigError for an unknown study, a keyword the study does not take or
+    a value _valid_argument refuses; a summary that is not finite is a NumericalError.
     """
     if name not in STUDIES:
         raise ConfigError(f"unknown study {name!r}; available: {sorted(STUDIES)}")
-    unknown = sorted(set(kwargs) - set(inspect.signature(STUDIES[name]).parameters))
-    if unknown:
-        raise ConfigError(f"study {name!r} takes no parameter {', '.join(map(repr, unknown))}")
+    parameters = inspect.signature(STUDIES[name]).parameters
+    for key, value in kwargs.items():
+        if key not in parameters:
+            raise ConfigError(f"study {name!r} takes no parameter {key!r}")
+        if not _valid_argument(key, value, parameters[key].default):
+            raise ConfigError(f"study {name!r} parameter {key!r}: invalid value {value!r}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         kwargs = dict(kwargs, out_dir=out_dir)
     summary = STUDIES[name](**kwargs)
     if out_dir is not None:
+        text = json_text(summary)
         with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write(text)
     return summary

@@ -81,3 +81,19 @@ def spline_oracle_cwt(spline_oracle):
         return out
 
     return transforms
+
+
+@pytest.fixture()
+def spline_oracle_transforms(spline_oracle_cwt):
+    """spectra.eigen_transforms as spline_oracle_cwt stacked over the b-grid.
+
+    Records every (a, b) it evaluates in its ``calls`` list, so a test can
+    check that a patched route really ran through it.
+    """
+
+    def transforms(stream, system, a, b_grid):
+        transforms.calls.extend((a, float(b)) for b in b_grid)
+        return np.array([spline_oracle_cwt(stream, system, a, b) for b in b_grid])
+
+    transforms.calls = []
+    return transforms

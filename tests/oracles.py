@@ -8,7 +8,7 @@ from scipy.special import erf
 from eventspec import (EigenSystem, EventStream, SmoothedKernel, SmoothingWindow,
                        ValidationError, ValidRegion, Wavelet)
 from eventspec.kernels import DEFAULT_GRID_POINTS, _cell_factors
-from eventspec.spectra import _require_inside
+from eventspec.spectra import _require_inside, cwt
 
 
 def kernel_value_morlet_rect(kappa: float, s, t):
@@ -143,6 +143,33 @@ def smoothed_periodogram_direct(stream: EventStream, kernel: SmoothedKernel,
         g = np.array([f @ phase for f, phase in zip(blocks, phases)])
         out += g @ np.conj(g.T)
     return out / a
+
+
+def periodogram(stream: EventStream, wavelet: Wavelet, a: float, b: float) -> np.ndarray:
+    """Rank-one wavelet periodogram W(a, b) = w w^H."""
+    w = cwt(stream, wavelet, a, b)
+    return np.outer(w, np.conj(w))
+
+
+def normalize_coords(a: float, b: float, T: float, alpha: float, kappa: float):
+    """Map raw (a, b) to the T-free coordinates (a_tilde, b_tilde); inverse of denormalize_coords."""
+    return a * (alpha + kappa) / T, b / T
+
+
+def eigen_transforms_per_point(stream: EventStream, system: EigenSystem, a: float,
+                               b_grid) -> np.ndarray:
+    """spectra.eigen_transforms one point and one stream at a time, by eigen_wavelets_at.
+
+    Each point's events come from EventStream.window, and their values are
+    summed row by row instead of contracted run by run.
+    """
+    half = a * system.kernel.width / 2.0
+    out = np.zeros((len(b_grid), stream.p, system.n_retained), dtype=complex)
+    for k, b in enumerate(b_grid):
+        for i in range(stream.p):
+            local = (stream.window(i, b - half, b + half) - b) / a
+            out[k, i] = system.eigen_wavelets_at(local).sum(axis=0)
+    return out / math.sqrt(a)
 
 
 class ScaledWavelet:

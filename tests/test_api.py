@@ -7,6 +7,7 @@ import types
 import pytest
 
 import eventspec
+import oracles
 
 
 def test_all_lists_every_public_name():
@@ -65,7 +66,7 @@ def test_removed_config_field_is_type_error(make):
 
 @pytest.mark.parametrize("function, parameter", [
     (eventspec.cwt, "check_region"),
-    (eventspec.periodogram, "check_region"),
+    (oracles.periodogram, "check_region"),
     (eventspec.central_frequency, "n_fft"),
     (eventspec.dof_closed_form, "n_quad"),
     (eventspec.CoherenceDistribution.cdf_grid, "n_grid"),

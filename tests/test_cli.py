@@ -211,7 +211,7 @@ class TestStationarityCommand:
             raise AssertionError("stationarity test started")
 
         monkeypatch.setattr(inference, "eigensystem", refuse)
-        monkeypatch.setattr(inference, "smoothed_periodogram_eigen", refuse)
+        monkeypatch.setattr(inference, "eigen_transforms", refuse)
         assert run(["test-stationarity", poisson_file, "--J", J, "--out", tmp_path]) == 2
         assert f"J must lie in [1, {MAX_J}]" in capsys.readouterr().err
 
@@ -350,6 +350,9 @@ HAWKES = {"nu": [1.0], "alpha": [[0.5]], "beta": [[1.0]]}
     ("reproduce", {"args": {"bogus": 1}}, "bogus"),
     ("reproduce", {"args": 5}, "args"),
     ("reproduce", {"seed": 3}, "seed"),  # read as --seed, which dof-table does not take
+    ("reproduce", {"args": {"kappa": -20.0}}, "kappa"),
+    ("reproduce", {"args": {"kappa": True}}, "kappa"),
+    ("reproduce", {"args": {"out_dir": "elsewhere"}}, "out_dir"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, poisson_file, capsys, command, cfg, key):
     path = tmp_path / "bad.json"
@@ -392,3 +395,55 @@ def test_reproduce_reads_top_level_seed_and_replicates(tmp_path):
     assert run(["reproduce", "test-size", "--config", path, "--out", tmp_path]) == 0
     doc = json.loads((tmp_path / "test-size.json").read_text())
     assert (doc["seed"], doc["replicates"]) == (3, 2)
+
+
+@pytest.mark.parametrize("study, cfg", [
+    ("null-percentile", {"args": {"kappa": "x"}}),  # was a TypeError, exit 1
+    ("null-percentile", {"args": {"wavelet_kind": "haar"}}),
+    ("null-percentile", {"args": {"q": [0.95]}}),
+    ("test-size", {"args": {"rates": [2.0, "2"]}}),
+    ("test-size", {"args": {"rates": []}}),
+    ("test-size", {"args": {"replicates": 2.5}}),
+    ("qq-cwt", {"seed": -1}),  # was numpy's ValueError, exit 1
+])
+def test_reproduce_refuses_bad_argument_values(tmp_path, capsys, study, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["reproduce", study, "--config", path, "--out", tmp_path / "out"]) == 2
+    key = next(iter(cfg.get("args", cfg)))
+    assert f"parameter {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{study}.json").exists()
+
+
+def test_reproduce_takes_valid_argument_values(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"args": {"kappa": 12, "wavelet_kind": "mexhat", "q": 0.9}}))
+    assert run(["reproduce", "null-percentile", "--config", path, "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "null-percentile.json").read_text())
+    assert (doc["kappa"], doc["wavelet"], doc["q"]) == (12, "mexhat", 0.9)
+    path.write_text(json.dumps({"replicates": 2, "args": {"rates": [2, 2.5], "T": 200}}))
+    assert run(["reproduce", "test-size", "--config", path, "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "test-size.json").read_text())
+    assert (doc["rates"], doc["T"], doc["replicates"]) == ([2, 2.5], 200, 2)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in scalar divide:RuntimeWarning")
+def test_non_finite_report_is_numerical_error(tmp_path, capsys):
+    # T = 1e300 degenerates the kernel (n = inf); the report was written with Infinity
+    path = tmp_path / "huge.csv"
+    path.write_text("# p=2 T=1e300\n1,1.0\n2,2.0\n1,5.0\n2,7.5\n")
+    assert run(["test-stationarity", path, "--J", 1, "--out", tmp_path / "out"]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_study_summary_is_numerical_error(tmp_path, capsys, monkeypatch):
+    from eventspec import studies
+
+    def degenerate(kappa: float = 20.0, out_dir=None):
+        return {"study": "dof-table", "dof": {"morlet": float("inf")}}
+
+    monkeypatch.setitem(studies.STUDIES, "dof-table", degenerate)
+    assert run(["reproduce", "dof-table", "--out", tmp_path]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "dof-table.json").exists()

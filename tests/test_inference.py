@@ -188,13 +188,18 @@ class TestStationarityTest:
         for s in report.scales:
             assert 0.0 < s.p_value < 1.0
 
-    def test_report_matches_spline_oracle_route(self, monkeypatch, spline_oracle_cwt):
-        from eventspec import spectra
+    def test_report_matches_spline_oracle_route(self, monkeypatch, spline_oracle_transforms):
+        from eventspec import inference
         stream = simulate_poisson([2.0, 2.0], 1500.0, seed=3)
         config = StationarityConfig(kappa=6.0, J=3)
         report = stationarity_test(stream, config)
-        monkeypatch.setattr(spectra, "eigen_cwt", spline_oracle_cwt)
+        monkeypatch.setattr(inference, "eigen_transforms", spline_oracle_transforms)
         oracle = stationarity_test(stream, config)
+        # the oracle evaluated every segment centre of every scale: 2 + 4 + 8
+        width = config.resolve_system(stream.T).kernel.width
+        assert spline_oracle_transforms.calls == [
+            (stream.T / (2**j * width), (2 * k - 1) * stream.T / 2 ** (j + 1))
+            for j in (1, 2, 3) for k in range(1, 2**j + 1)]
         got = [(s.statistic, s.p_value) for s in report.scales]
         ref = [(s.statistic, s.p_value) for s in oracle.scales]
         got.append((report.combined_statistic, report.combined_p_value))

@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eventspec import (ConfigError, EventStream, FieldConfig,
+from eventspec import (ConfigError, EventStream, FieldConfig, NumericalError,
                        RegionError, SmoothedKernel, SmoothingWindow,
                        UndefinedCoherenceError, Wavelet,
                        coherence, cwt, denormalize_coords, eigen_cwt, eigensystem,
-                       eigensystem_cached, field, normalize_coords, nystrom_decompose,
-                       periodogram, simulate_poisson, smoothed_periodogram_eigen)
+                       eigensystem_cached, field, nystrom_decompose, simulate_poisson,
+                       smoothed_periodogram_eigen)
+from eventspec import spectra
 from eventspec.studies import piecewise_segments
-from oracles import rank_one_kernel, smoothed_periodogram_direct, value_matrix
+from oracles import (eigen_transforms_per_point, normalize_coords, periodogram,
+                     rank_one_kernel, smoothed_periodogram_direct, value_matrix)
 
 
 def empty_stream(p=2, T=100.0):
@@ -276,6 +279,14 @@ class TestField:
         assert undefined > 0
         assert np.all(np.isnan(result.gamma2[~result.valid]))
 
+    def test_non_finite_meta_is_numerical_error(self):
+        result = field(simulate_poisson([2.0, 2.0], 50.0, seed=3),
+                       self.make_config(n_a=2, n_b=3, n_points=128))
+        assert json.loads(result.meta_json())["p"] == 2
+        result.meta["dof"] = math.inf
+        with pytest.raises(NumericalError, match="not finite"):
+            result.meta_json()
+
     def test_config_is_frozen(self):
         cfg = self.make_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -373,3 +384,80 @@ class TestMeanSpectrum:
             vals[r] = smoothed_periodogram_eigen(s, morlet_sys10, a, b)[0, 0].real
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - lam) < 3 * se
+
+
+@st.composite
+def sweep_cases(draw):
+    """A stream, a scale and a b-grid for eigen_transforms.
+
+    Streams are random sorted event sets, p = 1..3, any of them silent. The
+    grid mixes random points of the valid region, its two boundary points at
+    this scale, and the grid's own supports are seeded with events exactly at
+    b +- a w/2 and one ulp inside.
+    """
+    kind = draw(st.sampled_from(["morlet", "mexhat"]))
+    system = eigensystem_cached(kind, 10.0, n_points=128)
+    T = draw(st.sampled_from([40.0, 100.0]))
+    a_max = T / system.kernel.width
+    a = draw(st.floats(0.02 * a_max, a_max))
+    half = a * system.kernel.width / 2.0
+    inside = st.floats(half, T - half) if half < T - half else st.just(T / 2.0)
+    b_grid = draw(st.lists(inside, min_size=1, max_size=6))
+    b_grid += draw(st.sampled_from([[], [half], [T - half], [half, T - half]]))
+    p = draw(st.integers(1, 3))
+    times = st.floats(0.0, T, exclude_min=True)
+    streams = []
+    for _ in range(p):
+        events = draw(st.lists(times, max_size=draw(st.sampled_from([0, 3, 40]))))
+        for b in draw(st.lists(st.sampled_from(b_grid), max_size=2)):
+            for edge in (b - half, b + half):
+                events += [edge, np.nextafter(edge, b)]
+        streams.append(np.unique([t for t in events if 0.0 < t <= T]))
+    return EventStream(streams, T), system, a, np.array(b_grid)
+
+
+class TestEigenTransforms:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=sweep_cases(), pairs_per_block=st.sampled_from([1, 3, None]))
+    def test_matches_the_per_point_route(self, case, pairs_per_block):
+        stream, system, a, b_grid = case
+        with pytest.MonkeyPatch.context() as mp:
+            if pairs_per_block is not None:  # several blocks per scale
+                mp.setattr(spectra, "PAIR_BLOCK", 4 * system.n_retained * pairs_per_block)
+            got = spectra.eigen_transforms(stream, system, a, b_grid)
+        ref = eigen_transforms_per_point(stream, system, a, b_grid)
+        assert got.shape == (b_grid.size, stream.p, system.n_retained)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        # a support without events gives exactly zero on both routes
+        assert np.array_equal(got == 0, ref == 0)
+
+    def test_one_point_case_is_eigen_cwt(self, morlet_sys10):
+        s = simulate_poisson([2.0, 2.0, 1.0], 100.0, seed=8)
+        b_grid = np.array([30.0, 50.0, 61.5])
+        batch = spectra.eigen_transforms(s, morlet_sys10, 2.5, b_grid)
+        omega = spectra.eigen_expansion(batch, morlet_sys10.retained_eigenvalues)
+        for k, b in enumerate(b_grid):
+            v = eigen_cwt(s, morlet_sys10, 2.5, b)
+            om = smoothed_periodogram_eigen(s, morlet_sys10, 2.5, b)
+            assert np.linalg.norm(batch[k] - v) <= 1e-14 * np.linalg.norm(v)
+            assert np.linalg.norm(omega[k] - om) <= 1e-14 * np.linalg.norm(om)
+
+    def test_blocks_bound_the_pairs(self, morlet_sys10, monkeypatch):
+        # no block holds more than max_pairs pairs unless it is a single point
+        s = simulate_poisson([4.0, 4.0], 100.0, seed=9)
+        max_pairs = 25
+        monkeypatch.setattr(spectra, "PAIR_BLOCK", 4 * morlet_sys10.n_retained * max_pairs)
+        blocks = []
+        by_run = type(morlet_sys10).summed_wavelets_by_run
+
+        def record(system, x, ends):
+            blocks.append((len(x), len(ends)))
+            return by_run(system, x, ends)
+
+        monkeypatch.setattr(type(morlet_sys10), "summed_wavelets_by_run", record)
+        b_grid = np.linspace(20.0, 80.0, 40)
+        got = spectra.eigen_transforms(s, morlet_sys10, 1.0, b_grid)
+        assert len(blocks) > 2 * s.p
+        assert all(pairs <= max_pairs or points == 1 for pairs, points in blocks)
+        ref = eigen_transforms_per_point(s, morlet_sys10, 1.0, b_grid)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
