@@ -7,8 +7,7 @@ stationarity, and the Poisson/Hawkes simulators used to validate the
 distributional results.
 """
 
-from .eigensys import (EigenSystem, dof_closed_form, eigensystem, eigensystem_cached,
-                       nystrom_decompose)
+from .eigensys import EigenSystem, eigensystem, eigensystem_cached, nystrom_decompose
 from .errors import (ConfigError, DataError, DegenerateSegmentError,
                      EventspecError, NumericalError, ParseError, RegionError,
                      UndefinedCoherenceError, ValidationError)
@@ -23,7 +22,7 @@ from .pointproc import (EventStream, HawkesParams, coherence_theoretical,
                         simulate_piecewise, simulate_poisson)
 from .spectra import (FieldConfig, SpectralField, coherence, cwt, denormalize_coords,
                       eigen_cwt, field, smoothed_periodogram_eigen)
-from .wavelets import Wavelet, WaveletKind, autocorrelation, central_frequency
+from .wavelets import Wavelet, WaveletKind, central_frequency
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,8 @@ __all__ = [
     "NumericalError", "ParseError", "RegionError", "SmoothedKernel", "SmoothingWindow",
     "SpectralField", "StationarityConfig", "StationarityReport", "UndefinedCoherenceError",
     "ValidRegion", "ValidationError", "Wavelet", "WaveletKind", "WindowKind",
-    "autocorrelation", "central_frequency", "chi2_sf", "coherence", "coherence_density",
-    "coherence_theoretical", "cwt", "denormalize_coords", "dof_closed_form", "eigen_cwt",
+    "central_frequency", "chi2_sf", "coherence", "coherence_density",
+    "coherence_theoretical", "cwt", "denormalize_coords", "eigen_cwt",
     "eigensystem", "eigensystem_cached", "field", "hawkes_spectrum", "hyp2f1", "kernel_value",
     "load_csv", "lrt_statistic", "null_percentile", "nystrom_decompose", "save_csv",
     "simulate_hawkes", "simulate_piecewise", "simulate_poisson", "smoothed_periodogram_eigen",

@@ -5,16 +5,21 @@ uniform midpoint grid with equal weights w = (alpha + kappa)/n, giving the
 matrix problem (w K) phi = eta phi. Because the weights are uniform the
 weighted problem is already Hermitian, eigenvalues are real and the
 eigenvectors are orthonormal under the weighted inner product once scaled
-by w^(-1/2).
+by w^(-1/2). A system whose eigenvalue sum is zero or not finite, or whose
+degrees of freedom are not finite, raises NumericalError where it is built.
 
-Eigen-wavelet envelopes are kept as a table of cubic pieces; for a modulated
-wavelet the analytic phase factor e^{i 2 pi f x} is attached at evaluation
-time, so the interpolated quantity is smooth and slowly varying. The pieces
-form the not-a-knot cubic spline on uniform knots (de Boor, A Practical Guide to
-Splines, ch. IV): the slopes solve s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i)
-for secants m_i, ends s_0 + 2 s_1 = (5 m_0 + m_1)/2 and mirror, by one elimination.
+Eigen-wavelet envelopes are kept as (n_knots + 2, L) cubic B-spline coefficients of
+the not-a-knot spline on uniform knots (de Boor, A Practical Guide to Splines, ch. IV:
+slopes s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i) for secants m_i, ends
+s_0 + 2 s_1 = (5 m_0 + m_1)/2 and mirror, by one elimination). A value on interval i
+is sum_k c_{i+k} B_k(t) over the 4 uniform B-spline pieces (Unser 1999, IEEE Signal
+Proc. Mag. 16(6)), times the phase e^{i 2 pi f x} of a modulated wavelet, attached at
+evaluation so the interpolated envelope stays smooth. summed_wavelets_by_run sums the
+4 weights of every event of a run onto a coefficient grid per run, and all of a block's
+grids meet the table in one matrix product.
 The Nystrom extension phi_l(x) = eta_l^(-1) sum_j w K(x, s_j) phi_l(s_j) the
-table approximates, and sum_l eta_l |Phi_l(f)|^2, are test oracles (tests/oracles.py).
+table approximates, sum_l eta_l |Phi_l(f)|^2 and the large-kappa closed form of n
+are test oracles (tests/oracles.py).
 
 ``eigensystem(wavelet, window, n_points, energy_cutoff)`` is the one
 constructor the package uses. It memoizes by value in a bounded LRU cache
@@ -33,8 +38,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .kernels import DEFAULT_GRID_POINTS, SmoothedKernel, SmoothingWindow
-from .quadrature import simpson_rule
-from .wavelets import DEFAULT_ALPHA, QUAD_POINTS, Wavelet, autocorrelation
+from .wavelets import DEFAULT_ALPHA, Wavelet
 
 DEFAULT_ENERGY_CUTOFF = 1.0 - 1e-6
 # Distinct systems kept by eigensystem(); criterion 4 cycles through six.
@@ -53,6 +57,8 @@ class EigenSystem:
     vectors : ndarray, shape (n_grid, n_retained)
         Envelope samples of the retained eigen-wavelets, orthonormal under
         the weighted inner product.
+    coefficients : ndarray, shape (n_knots + 2, L)
+        Cubic B-spline coefficients of the envelopes on the refined uniform knots.
     diagnostics : dict
         Kernel health: |trace - 1|, max|K - K^H|, retained energy, last eta kept.
     """
@@ -67,19 +73,23 @@ class EigenSystem:
         self.modulation = kernel.modulation
         self.eigenvalues = eigenvalues
         self.energy_cutoff = energy_cutoff
-        total = eigenvalues.sum()
+        total = float(eigenvalues.sum())
+        if not 0.0 < total < math.inf:
+            raise NumericalError(f"kernel eigenvalue sum {total:.3e} is zero or not finite")
         cum = np.cumsum(eigenvalues)
         n_keep = int(np.searchsorted(cum, energy_cutoff * total) + 1)
         # guard against the discretization noise floor of the eigensolve
         n_floor = int(np.count_nonzero(eigenvalues > 1e-12 * eigenvalues[0]))
         self.n_retained = max(1, min(n_keep, n_floor, vectors.shape[1]))
         self.vectors = vectors[:, : self.n_retained]
+        if not np.sum(self.retained_eigenvalues**2) > 0.0:
+            raise NumericalError("degrees of freedom 1 / sum(eta^2) are not finite")
         self.diagnostics = {"trace_error": abs(kernel.trace_estimate() - 1.0),
                             "hermitian_asymmetry": float(asymmetry),
                             "retained_energy": self.retained_energy,
                             "min_retained_eigenvalue": float(eigenvalues[self.n_retained - 1])}
         self._knots, samples = self._refined_samples()
-        self._table, self._step = _not_a_knot_table(self._knots, samples)
+        self.coefficients, self._step = _not_a_knot_coefficients(self._knots, samples)
 
     def _refined_samples(self):
         # Envelope samples decay to (numerically) zero at the support edges,
@@ -122,26 +132,35 @@ class EigenSystem:
 
     # -- evaluation -----------------------------------------------------
 
-    def _gather(self, x):
-        # support mask; for the n points inside, table rows (n, 4, L) and the re and im
-        # (2, n, 4) of weights e^{i 2 pi f x} dx^k, dx from the left knot (uniform knots)
+    def _basis(self, x):
+        # support mask; for the n points inside, the index of each one's first of 4
+        # coefficient rows and the re and im (2, 4, n) of weights e^{i 2 pi f x} B_k(t).
         x = np.asarray(x, dtype=float)
         inside = np.abs(x) < self.kernel.width / 2.0
         x = x[inside]
-        idx = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
-        idx = np.clip(idx, 0, len(self._table) - 1)
-        dx = x - self._knots[idx]
-        weights = np.empty((2, x.size, 4))
-        weights[:, :, 0] = np.exp(2j * np.pi * self.modulation * x).view(float).reshape(-1, 2).T
-        for k in (1, 2, 3):
-            np.multiply(weights[:, :, k - 1], dx, out=weights[:, :, k])
-        return inside, self._table.take(idx, axis=0), weights
+        first = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
+        np.clip(first, 0, len(self.coefficients) - 4, out=first)
+        t = x - self._knots[first]  # from the left knot: an exact difference
+        t /= self._step
+        u = 1.0 - t
+        basis = np.empty((4, t.size))  # 6 B_k(t): u^3, 4 - 3 t^2 (1 + u), 4 - 3 u^2 (1 + t), t^3
+        np.multiply(u, u, out=basis[0])
+        np.multiply(t, t, out=basis[3])
+        np.multiply(basis[3], -3.0 - 3.0 * u, out=basis[1])
+        np.multiply(basis[0], -3.0 - 3.0 * t, out=basis[2])
+        basis[1:3] += 4.0
+        basis[0] *= u
+        basis[3] *= t
+        theta = x * (2.0 * np.pi * self.modulation)
+        phase = np.array([np.cos(theta), np.sin(theta)]) / 6.0
+        return inside, first, phase[:, None, :] * basis
 
     def eigen_wavelets_at(self, x: np.ndarray) -> np.ndarray:
         """Eigen-wavelet values, phase attached, shape (len(x), L); 0 off the support."""
-        inside, rows, weights = self._gather(x)
+        inside, first, weights = self._basis(x)
         vals = np.zeros((inside.size, self.n_retained), dtype=complex)
-        vals[inside] = np.einsum("nk,nkl->nl", weights[0] + 1j * weights[1], rows)
+        rows = self.coefficients[first[:, None] + np.arange(4)]  # (n, 4, L)
+        vals[inside] = np.einsum("kn,nkl->nl", weights[0] + 1j * weights[1], rows)
         return vals
 
     def summed_wavelets_at(self, x: np.ndarray) -> np.ndarray:
@@ -151,13 +170,15 @@ class EigenSystem:
     def summed_wavelets_by_run(self, x: np.ndarray, ends) -> np.ndarray:
         """summed_wavelets_at of each run x[ends[k-1]:ends[k]] (ends[-1] = 0), shape (len(ends), L).
 
-        The re and im rows of a run's weights meet its table rows in one matrix product."""
-        inside, rows, weights = self._gather(x)
-        kept = np.concatenate([[0], np.cumsum(inside)])[np.concatenate([[0], ends])] * 4
-        weights, rows = weights.reshape(2, -1), rows.reshape(-1, self.n_retained)
-        sums = np.empty((len(ends), 2, self.n_retained), dtype=rows.dtype)
-        for k, (lo, hi) in enumerate(zip(kept[:-1].tolist(), kept[1:].tolist())):
-            np.matmul(weights[:, lo:hi], rows[lo:hi], out=sums[k])
+        bincount sums every weight onto a (runs, 2, n_coef) grid, which meets the whole
+        table in one matrix product."""
+        inside, first, weights = self._basis(x)
+        n_runs, n_coef = len(ends), len(self.coefficients)
+        run = np.repeat(np.arange(n_runs), np.diff(ends, prepend=0))[inside]
+        slots = (2 * n_coef * run + first) + (n_coef * np.arange(2)[:, None, None]
+                                              + np.arange(4)[:, None])
+        grid = np.bincount(slots.ravel(), weights.ravel(), minlength=2 * n_runs * n_coef)
+        sums = (grid.reshape(2 * n_runs, n_coef) @ self.coefficients).reshape(n_runs, 2, -1)
         return sums[:, 0] + 1j * sums[:, 1]
 
     def __repr__(self) -> str:
@@ -165,8 +186,11 @@ class EigenSystem:
                 f"dof={self.degrees_of_freedom():.3f})")
 
 
-def _not_a_knot_table(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """CubicSpline's (n - 1, 4, L) coefficients of 1, dx, dx^2, dx^3, and the knot step."""
+def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The not-a-knot spline's (len(x) + 2, L) cubic B-spline coefficients, and the knot step.
+
+    On interval i, with t = (x - x_i) / step, the spline is sum_k c_{i+k} B_k(t), k = 0..3;
+    c_{k+1} = y_k - step^2 S''(x_k) / 6, and c_0, c_{n+1} follow from the end slopes."""
     if not np.all(np.isfinite(y)):
         raise NumericalError("eigen-wavelet samples are not finite")
     step = (x[-1] - x[0]) / (len(x) - 1)
@@ -184,8 +208,11 @@ def _not_a_knot_table(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     s /= np.array(diag)[:, None]
     for i in range(n - 2, -1, -1):
         rows[i] -= upper[i] / diag[i] * rows[i + 1]
-    t = (s[:-1] + s[1:] - 2.0 * m) / step
-    return np.stack([y[:-1], s[:-1], (m - s[:-1]) / step - t, t / step], axis=1), step
+    # step^2 S''/6 at each knot: from the right of every interval, and the last from its left
+    curv = np.concatenate([3.0 * m - 2.0 * s[:-1] - s[1:], s[-2:-1] + 2.0 * s[-1:] - 3.0 * m[-1:]])
+    mid = y - curv * (step / 3.0)
+    return np.concatenate([mid[1:2] - 2.0 * step * s[:1], mid,
+                           mid[-2:-1] + 2.0 * step * s[-1:]]), step
 
 
 def nystrom_decompose(kernel: SmoothedKernel,
@@ -221,22 +248,6 @@ def nystrom_decompose(kernel: SmoothedKernel,
     if not np.iscomplexobj(mat):
         vecs = vecs.real
     return EigenSystem(kernel, eta, vecs, energy_cutoff, asym)
-
-
-def dof_closed_form(wavelet: Wavelet, kappa: float) -> float:
-    """Large-kappa closed form n = kappa / integral |P(x)|^2 dx.
-
-    Only valid for a rectangular window with kappa > alpha. This expression
-    drops a boundary term of relative size O(1/kappa), so it sits slightly
-    below the eigenvalue-sum value at moderate kappa; the eigenvalue sum is
-    authoritative for distributional use.
-    """
-    if kappa <= wavelet.alpha:
-        raise ValidationError("closed-form degrees of freedom require kappa > alpha")
-    x, w = simpson_rule(-wavelet.alpha, wavelet.alpha, QUAD_POINTS)
-    p = autocorrelation(wavelet, x)
-    energy = float(w @ np.abs(p) ** 2)
-    return kappa / energy
 
 
 def eigensystem(wavelet: Wavelet, window: SmoothingWindow,

@@ -2,9 +2,11 @@
 
 The temporally smoothed wavelet periodogram Omega(a, b) is the multi-wavelet
 expansion sum_l eta_l v_l v_l^H (eigen_expansion) of the transforms v_l under
-the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a
-translation grid in O(pairs x 4L) for its (point, event) pairs; field() and
-stationarity_test call it once per scale, and eigen_cwt is its one-point case.
+the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a translation
+grid; field() and stationarity_test call it once per scale, and eigen_cwt is its
+one-point case. It sums the 8 weights of each of a scale's (point, event) pairs onto a
+coefficient grid per (point, stream) run, and one matrix product per block of runs meets
+the whole coefficient table, so the L-wide work does not grow with the pairs.
 Omega's definition, the kernel double sum over event pairs, is the direct route
 of the test oracles (tests/oracles.py); the two agree to interpolation accuracy.
 
@@ -27,7 +29,7 @@ from .pointproc import EventStream
 from .wavelets import Wavelet
 
 MIN_EXPECTED_EVENTS = 10.0  # of the sparsest stream, in the support at field()'s default a_min
-PAIR_BLOCK = 1 << 19  # float64 values of the table rows one block of pairs gathers (4 MB)
+PAIR_BLOCK = 1 << 19  # float64 values one block of pairs holds (4 MB)
 
 
 def cwt(stream: EventStream, wavelet: Wavelet, a: float, b: float) -> np.ndarray:
@@ -61,30 +63,36 @@ def eigen_transforms(stream: EventStream, system: EigenSystem, a: float,
                      b_grid) -> np.ndarray:
     """v_l(a, b) for every b of b_grid at one scale a, shape (n_b, p, L).
 
-    Per stream, two binary searches find every point's events in its support;
-    the (point, event) pairs go to EigenSystem.summed_wavelets_by_run in blocks
-    of at most PAIR_BLOCK // (4 L) pairs and at least one point, so no scale
-    holds all of its pairs at once.
+    Binary searches find every point's events in its support, per stream: a run of
+    (point, event) pairs per (point, stream). EigenSystem.summed_wavelets_by_run sums
+    the runs in blocks of at least one run and at most PAIR_BLOCK // 32 pairs (about 32
+    values of weights and indices each) and PAIR_BLOCK // (2 n_coef) runs (its grid), so
+    no scale holds all of its pairs at once.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     half = a * system.kernel.width / 2.0
-    max_pairs = max(1, PAIR_BLOCK // (4 * system.n_retained))
-    out = np.empty((b_grid.size, stream.p, system.n_retained), dtype=complex)
-    for i, seq in enumerate(stream.events):
-        first = np.searchsorted(seq, b_grid - half, "left")
-        counts = np.searchsorted(seq, b_grid + half, "right") - first
-        ends = np.cumsum(counts)
-        start = 0
-        while start < b_grid.size:
-            base = ends[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, base + max_pairs, "right")))
-            run_ends, runs = ends[start:stop] - base, counts[start:stop]
-            # a pair's event: its point's first event plus the pair's rank in the run
-            pairs = np.arange(run_ends[-1]) + np.repeat(first[start:stop] - run_ends + runs, runs)
-            x = (seq[pairs] - np.repeat(b_grid[start:stop], runs)) / a
-            out[start:stop, i] = system.summed_wavelets_by_run(x, run_ends)
-            start = stop
-    return out / math.sqrt(a)
+    n_ret = system.n_retained
+    # runs are (point, stream) in point-major order; seq holds every stream's events
+    seq = np.concatenate(stream.events)
+    offsets = np.cumsum([0] + [len(e) for e in stream.events[:-1]])
+    lo = np.array([np.searchsorted(e, b_grid - half, "left") for e in stream.events]).T
+    hi = np.array([np.searchsorted(e, b_grid + half, "right") for e in stream.events]).T
+    first, counts, b_runs = (lo + offsets).ravel(), (hi - lo).ravel(), np.repeat(b_grid, stream.p)
+    ends = np.cumsum(counts)
+    max_pairs, max_runs = PAIR_BLOCK // 32, PAIR_BLOCK // (2 * len(system.coefficients))
+    out = np.empty((counts.size, n_ret), dtype=complex)
+    start = 0
+    while start < counts.size:
+        base = ends[start - 1] if start else 0
+        stop = min(start + max_runs, int(np.searchsorted(ends, base + max_pairs, "right")))
+        stop = max(start + 1, stop)
+        run_ends, runs = ends[start:stop] - base, counts[start:stop]
+        # a pair's event: its run's first event plus the pair's rank in the run
+        pairs = np.arange(run_ends[-1]) + np.repeat(first[start:stop] - run_ends + runs, runs)
+        x = (seq[pairs] - np.repeat(b_runs[start:stop], runs)) / a
+        out[start:stop] = system.summed_wavelets_by_run(x, run_ends)
+        start = stop
+    return out.reshape(b_grid.size, stream.p, n_ret) / math.sqrt(a)
 
 
 def eigen_expansion(v: np.ndarray, eta: np.ndarray) -> np.ndarray:

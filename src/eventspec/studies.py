@@ -307,14 +307,16 @@ STUDIES = {
 
 def _valid_argument(key: str, value, default) -> bool:
     """Whether value is one of STRING_CHOICES for a string default, a non-empty list of numbers
-    for a tuple, or else a finite number >= 0 (as every default is), integral for an int."""
+    for a tuple, or else a finite number >= 0 (as every default is), integral for an int;
+    replicates must be at least 1."""
     if isinstance(default, str):
         return value in STRING_CHOICES[key]
     if isinstance(default, tuple):
         return (isinstance(value, (list, tuple)) and len(value) > 0
                 and all(_valid_argument(key, v, default[0]) for v in value))
     kind = numbers.Integral if isinstance(default, int) else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool) and 0 <= value < math.inf
+    low = 1 if key == "replicates" else 0
+    return isinstance(value, kind) and not isinstance(value, bool) and low <= value < math.inf
 
 
 def run_study(name: str, out_dir: str | None = None, **kwargs) -> dict:

@@ -259,23 +259,3 @@ def central_frequency(w: Wavelet) -> float:
     if mass <= 0:
         raise ValidationError("wavelet has no positive-frequency energy")
     return float(np.trapezoid(f * power, f) / mass)
-
-
-def autocorrelation(w: Wavelet, x) -> complex | np.ndarray:
-    """P(x) = integral of psi(t) psi*(t - x) dt over the truncated support.
-
-    P(0) = 1 by unit norm and P(-x) = conj(P(x)).
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    half = w.alpha / 2.0
-    out = np.zeros(x_arr.shape, dtype=complex if w.is_complex else float)
-    for i, xi in enumerate(x_arr):
-        lo = max(-half, xi - half)
-        hi = min(half, xi + half)
-        if hi <= lo:
-            continue
-        t, wt = simpson_rule(lo, hi, QUAD_POINTS)
-        out[i] = wt @ (w(t) * np.conj(w(t - xi)))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return out[0]
-    return out

@@ -8,7 +8,9 @@ from scipy.special import erf
 from eventspec import (EigenSystem, EventStream, SmoothedKernel, SmoothingWindow,
                        ValidationError, ValidRegion, Wavelet)
 from eventspec.kernels import DEFAULT_GRID_POINTS, _cell_factors
+from eventspec.quadrature import simpson_rule
 from eventspec.spectra import _require_inside, cwt
+from eventspec.wavelets import QUAD_POINTS
 
 
 def kernel_value_morlet_rect(kappa: float, s, t):
@@ -197,3 +199,39 @@ class ScaledWavelet:
 def poisson_spectrum(rates) -> np.ndarray:
     """Flat spectrum diag(lambda) of independent Poisson streams."""
     return np.diag(np.atleast_1d(np.asarray(rates, dtype=float)))
+
+
+def autocorrelation(w: Wavelet, x) -> complex | np.ndarray:
+    """P(x) = integral of psi(t) psi*(t - x) dt over the truncated support.
+
+    P(0) = 1 by unit norm and P(-x) = conj(P(x)).
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    half = w.alpha / 2.0
+    out = np.zeros(x_arr.shape, dtype=complex if w.is_complex else float)
+    for i, xi in enumerate(x_arr):
+        lo = max(-half, xi - half)
+        hi = min(half, xi + half)
+        if hi <= lo:
+            continue
+        t, wt = simpson_rule(lo, hi, QUAD_POINTS)
+        out[i] = wt @ (w(t) * np.conj(w(t - xi)))
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return out[0]
+    return out
+
+
+def dof_closed_form(wavelet: Wavelet, kappa: float) -> float:
+    """Large-kappa closed form n = kappa / integral |P(x)|^2 dx.
+
+    Only valid for a rectangular window with kappa > alpha. This expression
+    drops a boundary term of relative size O(1/kappa), so it sits slightly
+    below the eigenvalue-sum value at moderate kappa; the eigenvalue sum is
+    authoritative for distributional use.
+    """
+    if kappa <= wavelet.alpha:
+        raise ValidationError("closed-form degrees of freedom require kappa > alpha")
+    x, w = simpson_rule(-wavelet.alpha, wavelet.alpha, QUAD_POINTS)
+    p = autocorrelation(wavelet, x)
+    energy = float(w @ np.abs(p) ** 2)
+    return kappa / energy

@@ -68,7 +68,7 @@ def test_removed_config_field_is_type_error(make):
     (eventspec.cwt, "check_region"),
     (oracles.periodogram, "check_region"),
     (eventspec.central_frequency, "n_fft"),
-    (eventspec.dof_closed_form, "n_quad"),
+    (oracles.dof_closed_form, "n_quad"),
     (eventspec.CoherenceDistribution.cdf_grid, "n_grid"),
 ])
 def test_removed_parameter(function, parameter):

@@ -405,6 +405,10 @@ def test_reproduce_reads_top_level_seed_and_replicates(tmp_path):
     ("test-size", {"args": {"rates": []}}),
     ("test-size", {"args": {"replicates": 2.5}}),
     ("qq-cwt", {"seed": -1}),  # was numpy's ValueError, exit 1
+    ("test-size", {"replicates": 0}),  # divided by zero and ended at exit 4
+    ("piecewise-detection", {"replicates": 0}),
+    ("qq-cwt", {"args": {"replicates": 0}}),
+    ("qq-coherence", {"replicates": 0}),
 ])
 def test_reproduce_refuses_bad_argument_values(tmp_path, capsys, study, cfg):
     path = tmp_path / "cfg.json"
@@ -427,14 +431,31 @@ def test_reproduce_takes_valid_argument_values(tmp_path):
     assert (doc["rates"], doc["T"], doc["replicates"]) == ([2, 2.5], 200, 2)
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered in scalar divide:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_report_is_numerical_error(tmp_path, capsys):
-    # T = 1e300 degenerates the kernel (n = inf); the report was written with Infinity
+    # T = 1e300 degenerates the kernel (eigenvalue sum 0, n = inf): refused where the
+    # eigensystem is built, before any warning and before the report is written
     path = tmp_path / "huge.csv"
     path.write_text("# p=2 T=1e300\n1,1.0\n2,2.0\n1,5.0\n2,7.5\n")
     assert run(["test-stationarity", path, "--J", 1, "--out", tmp_path / "out"]) == 4
-    assert "not finite" in capsys.readouterr().err
+    assert "eigenvalue sum" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_stationarity_report_is_refused_by_its_writer(tmp_path, poisson_file,
+                                                                  capsys, monkeypatch):
+    from eventspec import cli
+
+    def degenerate(stream, config):
+        report = inference.stationarity_test(stream, config)
+        report.meta["dof_n"] = float("inf")
+        return report
+
+    monkeypatch.setattr(cli, "stationarity_test", degenerate)
+    assert run(["test-stationarity", poisson_file, "--kappa", 10, "--J", 1,
+                "--out", tmp_path / "out"]) == 4
+    assert "not written: a value is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stationarity.json").exists()
 
 
 def test_non_finite_study_summary_is_numerical_error(tmp_path, capsys, monkeypatch):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from eventspec import (NumericalError, SmoothedKernel, SmoothingWindow, ValidationError,
-                       Wavelet, dof_closed_form, eigensystem,
+                       Wavelet, eigensystem,
                        eigensystem_cached, eigensys, nystrom_decompose)
 from eventspec.studies import run_qq_coherence
 from eventspec.quadrature import simpson_rule
-from oracles import (effective_frequency_response, eigen_wavelet_value, full_kernel_matrix,
-                     rank_one_kernel, unfactorized_kernel, value_matrix)
+from oracles import (dof_closed_form, effective_frequency_response, eigen_wavelet_value,
+                     full_kernel_matrix, rank_one_kernel, unfactorized_kernel, value_matrix)
 
 
 class TestDecomposition:
@@ -59,6 +59,18 @@ class TestDecomposition:
         kern.envelope_values = kern.envelope_values.copy()
         kern.envelope_values[3, 5] += 1e-3
         with pytest.raises(NumericalError):
+            nystrom_decompose(kern)
+
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_system_refused_where_built(self, morlet, rect10):
+        # a kernel that underflows to 0 (kappa = 8e75, as T = 1e300 gives the
+        # stationarity test) has eigenvalue sum 0; eigenvalues near 1e-170 have a
+        # positive sum, but their squares underflow, so n = 1 / sum(eta^2) is infinite
+        with pytest.raises(NumericalError, match="eigenvalue sum"):
+            eigensystem(morlet, SmoothingWindow.rectangular(8e75), 128)
+        kern = SmoothedKernel(morlet, rect10, 128)
+        kern.envelope_values = kern.envelope_values * 1e-170
+        with pytest.raises(NumericalError, match="degrees of freedom"):
             nystrom_decompose(kern)
 
 
@@ -221,14 +233,24 @@ class TestTableEvaluator:
 
 
 class TestNotAKnotTable:
-    """The numpy-built table against scipy's CubicSpline on the same refined samples."""
+    """The B-spline coefficient table against scipy's CubicSpline on the same refined samples.
+
+    scipy's BSpline evaluates the table on the uniform knot vector it implies (3 knots
+    beyond each end), independently of the package's own evaluator.
+    """
 
     @staticmethod
     def assert_matches_cubic_spline(system):
-        from scipy.interpolate import CubicSpline
-        ref = CubicSpline(*system._refined_samples()).c[::-1].transpose(1, 0, 2)
-        assert system._table.shape == ref.shape
-        assert np.abs(system._table - ref).max() <= 1e-11 * np.abs(ref).max()
+        from scipy.interpolate import BSpline, CubicSpline
+        knots, samples = system._refined_samples()
+        coef, step = system.coefficients, system._step
+        assert coef.shape == (len(knots) + 2, system.n_retained)
+        table = BSpline(knots[0] + step * np.arange(-3, len(coef) + 1), coef, 3)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1]),
+                            rng.uniform(knots[0], knots[-1], 1000)])
+        ref = CubicSpline(knots, samples)(x)
+        assert np.abs(table(x) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_matches_cubic_spline(self, table_system):
         self.assert_matches_cubic_spline(table_system)
@@ -241,7 +263,7 @@ class TestNotAKnotTable:
         x, y = morlet_sys10._refined_samples()
         y[100, 3] = np.nan
         with pytest.raises(NumericalError, match="not finite"):
-            eigensys._not_a_knot_table(x, y)
+            eigensys._not_a_knot_coefficients(x, y)
 
 
 class TestEigenWaveletValues:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 from scipy.integrate import quad
 from scipy.special import betainc
@@ -174,6 +175,28 @@ class TestLrtStatistic:
     def test_needs_two_segments(self):
         with pytest.raises(ValidationError):
             lrt_statistic([np.eye(2)], 5.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 4), K=st.integers(2, 8), n=st.floats(2.0, 50.0),
+           flavor=st.sampled_from(list(Flavor)), seed=st.integers(0, 2**32 - 1))
+    def test_invariant_to_segment_order_and_common_congruence(self, p, K, n, flavor, seed):
+        # the statistic sees the segments only through det(B_k) / det(sum B): reordering
+        # them, or one congruence B_k -> C B_k C^H of all of them, leaves it unchanged
+        rng = np.random.default_rng(seed)
+        real = flavor is Flavor.REAL
+
+        def gauss(*shape):
+            z = rng.normal(size=shape)
+            return z if real else z + 1j * rng.normal(size=shape)
+
+        mats = [g @ g.conj().T / (p + 2) for g in (gauss(p, p + 2) for _ in range(K))]
+        c = gauss(p, p) + 2.0 * np.eye(p)
+        stat = lrt_statistic(mats, n, flavor)
+        tol = dict(rel=1e-9, abs=1e-9 * n * K * p)
+        assert lrt_statistic([mats[k] for k in rng.permutation(K)], n, flavor) == \
+            pytest.approx(stat, **tol)
+        assert lrt_statistic([c @ m @ c.conj().T for m in mats], n, flavor) == \
+            pytest.approx(stat, **tol)
 
 
 class TestStationarityTest:

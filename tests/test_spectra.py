@@ -416,14 +416,20 @@ def sweep_cases(draw):
     return EventStream(streams, T), system, a, np.array(b_grid)
 
 
+def block_sizes(system):
+    """PAIR_BLOCK values: a limit of 1 pair and no run, so each block is one run; and
+    2 runs with n_coef // 8 pairs, so blocks are limited by runs."""
+    return {"1 pair": 32, "2 runs": 2 * len(system.coefficients) * 2}
+
+
 class TestEigenTransforms:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(case=sweep_cases(), pairs_per_block=st.sampled_from([1, 3, None]))
-    def test_matches_the_per_point_route(self, case, pairs_per_block):
+    @given(case=sweep_cases(), block=st.sampled_from([None, "1 pair", "2 runs"]))
+    def test_matches_the_per_point_route(self, case, block):
         stream, system, a, b_grid = case
         with pytest.MonkeyPatch.context() as mp:
-            if pairs_per_block is not None:  # several blocks per scale
-                mp.setattr(spectra, "PAIR_BLOCK", 4 * system.n_retained * pairs_per_block)
+            if block is not None:  # several blocks per scale
+                mp.setattr(spectra, "PAIR_BLOCK", block_sizes(system)[block])
             got = spectra.eigen_transforms(stream, system, a, b_grid)
         ref = eigen_transforms_per_point(stream, system, a, b_grid)
         assert got.shape == (b_grid.size, stream.p, system.n_retained)
@@ -443,21 +449,28 @@ class TestEigenTransforms:
             assert np.linalg.norm(omega[k] - om) <= 1e-14 * np.linalg.norm(om)
 
     def test_blocks_bound_the_pairs(self, morlet_sys10, monkeypatch):
-        # no block holds more than max_pairs pairs unless it is a single point
-        s = simulate_poisson([4.0, 4.0], 100.0, seed=9)
-        max_pairs = 25
-        monkeypatch.setattr(spectra, "PAIR_BLOCK", 4 * morlet_sys10.n_retained * max_pairs)
+        # unless a block is one run, it holds at most PAIR_BLOCK // 32 pairs and
+        # PAIR_BLOCK // (2 n_coef) runs
+        system = morlet_sys10
+        block = 2 * len(system.coefficients) * 6  # 6 runs, and pairs for 8 runs of 180
+        monkeypatch.setattr(spectra, "PAIR_BLOCK", block)
         blocks = []
-        by_run = type(morlet_sys10).summed_wavelets_by_run
+        by_run = type(system).summed_wavelets_by_run
 
-        def record(system, x, ends):
+        def record(self, x, ends):
             blocks.append((len(x), len(ends)))
-            return by_run(system, x, ends)
+            return by_run(self, x, ends)
 
-        monkeypatch.setattr(type(morlet_sys10), "summed_wavelets_by_run", record)
-        b_grid = np.linspace(20.0, 80.0, 40)
-        got = spectra.eigen_transforms(s, morlet_sys10, 1.0, b_grid)
-        assert len(blocks) > 2 * s.p
-        assert all(pairs <= max_pairs or points == 1 for pairs, points in blocks)
-        ref = eigen_transforms_per_point(s, morlet_sys10, 1.0, b_grid)
-        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        monkeypatch.setattr(type(system), "summed_wavelets_by_run", record)
+        s = simulate_poisson([10.0, 10.0], 100.0, seed=9)
+        b_grid = np.linspace(30.0, 70.0, 40)
+        # about 180 events per support at a = 1 (limited by runs), 450 at a = 2.5 (by pairs)
+        for a, max_runs in ((1.0, 6), (2.5, 3)):
+            blocks.clear()
+            got = spectra.eigen_transforms(s, system, a, b_grid)
+            assert all(runs == 1 or (runs <= 6 and pairs <= block // 32)
+                       for pairs, runs in blocks)
+            assert max(runs for _, runs in blocks) == max_runs
+            assert sum(runs for _, runs in blocks) == b_grid.size * s.p
+            ref = eigen_transforms_per_point(s, system, a, b_grid)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

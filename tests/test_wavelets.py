@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from eventspec import (ConfigError, ParseError, ValidationError,
-                       Wavelet, autocorrelation, central_frequency)
+from eventspec import ConfigError, ParseError, ValidationError, Wavelet, central_frequency
 from eventspec.studies import run_qq_cwt
 from eventspec.quadrature import simpson_rule
-from oracles import ScaledWavelet
+from oracles import ScaledWavelet, autocorrelation
 
 
 def quad_weights(alpha, n=4097):
