@@ -9,12 +9,12 @@ by w^(-1/2). A system whose eigenvalue sum is zero or not finite, or whose
 degrees of freedom are not finite, raises NumericalError where it is built.
 
 Eigen-wavelet envelopes are kept as (n_knots + 2, L) cubic B-spline coefficients of
-the not-a-knot spline on uniform knots (de Boor, A Practical Guide to Splines, ch. IV:
-slopes s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i) for secants m_i, ends
-s_0 + 2 s_1 = (5 m_0 + m_1)/2 and mirror, by one elimination). A value on interval i
-is sum_k c_{i+k} B_k(t) over the 4 uniform B-spline pieces (Unser 1999, IEEE Signal
-Proc. Mag. 16(6)), times the phase e^{i 2 pi f x} of a modulated wavelet, attached at
-evaluation so the interpolated envelope stays smooth. summed_wavelets_by_run sums the
+the periodic cubic spline through their 8x FFT refinement. One FFT pass builds them: the
+zero-padded spectrum divided by the B-spline symbol (4 + 2 cos w)/6 (Unser 1999, IEEE
+Signal Proc. Mag. 16(6)); a table above MAX_TABLE_BYTES is a ConfigError, and one that is
+not finite a NumericalError. A value on interval i is sum_k c_{i+k} B_k(t) over the 4
+uniform B-spline pieces, times the phase e^{i 2 pi f x} of a modulated wavelet, attached
+at evaluation so the interpolated envelope stays smooth. summed_wavelets_by_run sums the
 4 weights of every event of a run onto a coefficient grid per run, and all of a block's
 grids meet the table in one matrix product.
 The Nystrom extension phi_l(x) = eta_l^(-1) sum_j w K(x, s_j) phi_l(s_j) the
@@ -36,8 +36,8 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .kernels import DEFAULT_GRID_POINTS, SmoothedKernel, SmoothingWindow
+from .errors import ConfigError, NumericalError, ValidationError
+from .kernels import DEFAULT_GRID_POINTS, MAX_TABLE_BYTES, SmoothedKernel, SmoothingWindow
 from .wavelets import DEFAULT_ALPHA, Wavelet
 
 DEFAULT_ENERGY_CUTOFF = 1.0 - 1e-6
@@ -88,35 +88,34 @@ class EigenSystem:
                             "hermitian_asymmetry": float(asymmetry),
                             "retained_energy": self.retained_energy,
                             "min_retained_eigenvalue": float(eigenvalues[self.n_retained - 1])}
-        self._knots, samples = self._refined_samples()
-        self.coefficients, self._step = _not_a_knot_coefficients(self._knots, samples)
+        self._spline_table()
 
-    def _refined_samples(self):
-        # Envelope samples decay to (numerically) zero at the support edges,
-        # so their periodic extension is smooth and trigonometric refinement
-        # is accurate; a cubic spline on the refined grid then evaluates
-        # cheaply without the phase-scale resolution loss of the raw grid.
-        n = self.grid.size
-        m = self.UPSAMPLE
+    def _spline_table(self):
+        # Envelope samples decay to (numerically) zero at the support edges, so their periodic
+        # extension is smooth: zero-padding the spectrum refines them 8x, and dividing it by
+        # the cubic B-spline symbol (4 + 2 cos w)/6 gives the periodic cubic spline through
+        # the refined samples, free of the phase-scale resolution loss of the raw grid.
+        (n, n_ret), m = self.vectors.shape, self.UPSAMPLE
+        nbytes, kappa = 16 * n * m * n_ret, self.kernel.window.kappa
+        if nbytes > MAX_TABLE_BYTES:
+            raise ConfigError(f"the eigen-wavelet table at n_points={n}, kappa={kappa:g} needs "
+                              f"{nbytes} bytes, above {MAX_TABLE_BYTES}")
         spec = np.fft.fft(self.vectors, axis=0)
         half = n // 2
-        padded = np.zeros((n * m, self.vectors.shape[1]), dtype=complex)
+        padded = np.zeros((n * m, n_ret), dtype=complex)
         padded[:half] = spec[:half]
         padded[-(n - half - 1):] = spec[half + 1:]
-        padded[half] = 0.5 * spec[half]
-        padded[n * m - half] = 0.5 * spec[half]
-        fine = np.fft.ifft(padded, axis=0) * m
+        padded[half] = padded[n * m - half] = 0.5 * spec[half]
+        padded *= (6.0 * m / (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n * m))))[:, None]
+        coef = np.fft.ifft(padded, axis=0)
         if not np.iscomplexobj(self.vectors):
-            fine = fine.real
-        step = (self.grid[1] - self.grid[0]) / m
-        x = self.grid[0] + step * np.arange(n * m)
-        # wrap a few samples on each side so the spline covers the full
-        # support; wrapped values sit at the decayed edges
-        pad = 4
-        x_ext = np.concatenate([x[0] - step * np.arange(pad, 0, -1), x,
-                                x[-1] + step * np.arange(1, pad + 1)])
-        y_ext = np.concatenate([fine[-pad:], fine, fine[:pad]], axis=0)
-        return x_ext, y_ext
+            coef = coef.real
+        if not np.all(np.isfinite(coef)):
+            raise NumericalError("eigen-wavelet coefficients are not finite")
+        # knots from 4 refined steps before the grid to 4 past it; one more row at each end
+        self._step = (self.grid[1] - self.grid[0]) / m
+        self._knots = self.grid[0] + self._step * np.arange(-4, n * m + 4)
+        self.coefficients = np.take(coef, np.arange(-5, n * m + 5), axis=0, mode="wrap")
 
     @property
     def retained_eigenvalues(self) -> np.ndarray:
@@ -163,15 +162,11 @@ class EigenSystem:
         vals[inside] = np.einsum("kn,nkl->nl", weights[0] + 1j * weights[1], rows)
         return vals
 
-    def summed_wavelets_at(self, x: np.ndarray) -> np.ndarray:
-        """eigen_wavelets_at(x).sum(axis=0) without forming that (len(x), L) array."""
-        return self.summed_wavelets_by_run(x, [np.size(x)])[0]
-
     def summed_wavelets_by_run(self, x: np.ndarray, ends) -> np.ndarray:
-        """summed_wavelets_at of each run x[ends[k-1]:ends[k]] (ends[-1] = 0), shape (len(ends), L).
+        """Each run's eigen_wavelets_at(x[ends[k-1]:ends[k]]).sum(axis=0), shape (len(ends), L).
 
-        bincount sums every weight onto a (runs, 2, n_coef) grid, which meets the whole
-        table in one matrix product."""
+        ends[-1] = 0. bincount sums every weight onto a (runs, 2, n_coef) grid, which
+        meets the whole table in one matrix product."""
         inside, first, weights = self._basis(x)
         n_runs, n_coef = len(ends), len(self.coefficients)
         run = np.repeat(np.arange(n_runs), np.diff(ends, prepend=0))[inside]
@@ -184,35 +179,6 @@ class EigenSystem:
     def __repr__(self) -> str:
         return (f"EigenSystem({self.kernel!r}, retained={self.n_retained}, "
                 f"dof={self.degrees_of_freedom():.3f})")
-
-
-def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """The not-a-knot spline's (len(x) + 2, L) cubic B-spline coefficients, and the knot step.
-
-    On interval i, with t = (x - x_i) / step, the spline is sum_k c_{i+k} B_k(t), k = 0..3;
-    c_{k+1} = y_k - step^2 S''(x_k) / 6, and c_0, c_{n+1} follow from the end slopes."""
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("eigen-wavelet samples are not finite")
-    step = (x[-1] - x[0]) / (len(x) - 1)
-    m = np.diff(y, axis=0) / step
-    s = np.concatenate([0.5 * (5.0 * m[:1] + m[1:2]), 3.0 * (m[:-1] + m[1:]),
-                        0.5 * (m[-2:-1] + 5.0 * m[-1:])])
-    n = len(s)
-    lower, upper = [1.0] * (n - 2) + [2.0], [2.0] + [1.0] * (n - 2)
-    diag = [1.0] + [4.0] * (n - 2) + [1.0]
-    rows = list(s)  # views of s; Thomas elimination, scalar pivots shared by all L columns
-    for i in range(1, n):
-        ratio = lower[i - 1] / diag[i - 1]
-        diag[i] -= ratio * upper[i - 1]
-        rows[i] -= ratio * rows[i - 1]
-    s /= np.array(diag)[:, None]
-    for i in range(n - 2, -1, -1):
-        rows[i] -= upper[i] / diag[i] * rows[i + 1]
-    # step^2 S''/6 at each knot: from the right of every interval, and the last from its left
-    curv = np.concatenate([3.0 * m - 2.0 * s[:-1] - s[1:], s[-2:-1] + 2.0 * s[-1:] - 3.0 * m[-1:]])
-    mid = y - curv * (step / 3.0)
-    return np.concatenate([mid[1:2] - 2.0 * step * s[:1], mid,
-                           mid[-2:-1] + 2.0 * step * s[-1:]]), step
 
 
 def nystrom_decompose(kernel: SmoothedKernel,

@@ -34,6 +34,7 @@ KERNEL_QUAD_POINTS = 128    # Gauss-Legendre nodes for pointwise kernel values
 CELL_QUAD_POINTS = 4        # Gauss-Legendre nodes per cell of the grid rule
 DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 4096      # the kernel matrix alone is 128 MB at this size
+MAX_TABLE_BYTES = 1 << 28   # the table build's (8 n_points, L) complex spectrum; peak ~3x
 MAX_FIELD_BYTES = 1 << 30   # field()'s complex (n_a, n_b, p, p) omega; gamma2 adds half
 
 

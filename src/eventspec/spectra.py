@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensys import DEFAULT_ENERGY_CUTOFF, EigenSystem, eigensystem
-from .errors import (ConfigError, RegionError, UndefinedCoherenceError, ValidationError,
-                     json_text)
+from .errors import (ConfigError, NumericalError, RegionError, UndefinedCoherenceError,
+                     ValidationError, json_text)
 from .kernels import DEFAULT_GRID_POINTS, MAX_FIELD_BYTES, SmoothingWindow, ValidRegion
 from .pointproc import EventStream
 from .wavelets import Wavelet
@@ -124,13 +124,17 @@ def eigen_cwt(stream: EventStream, system: EigenSystem, a: float, b: float,
 
 
 def _gamma2(z, dii, djj):
-    # |z|^2 / (dii djj) with |z|^2 as re^2 + im^2; rounding above 1 by at most 1e-9 is clipped
-    value = (z.real * z.real + z.imag * z.imag) / (dii * djj)
+    # |z|^2 / (dii djj) with |z|^2 as re^2 + im^2, for positive dii and djj; rounding above 1
+    # by at most 1e-9 is clipped. A value the squares leave non-finite is a NumericalError.
+    with np.errstate(all="ignore"):
+        value = (z.real * z.real + z.imag * z.imag) / (dii * djj)
+    if not np.isfinite(value).all():
+        raise NumericalError("coherence is not finite where both diagonal entries are positive")
     return np.where(value < 1.0 + 1e-9, np.minimum(value, 1.0), value)
 
 
 def coherence(omega: np.ndarray, i: int, j: int) -> float:
-    """gamma^2_ij = |Omega_ij|^2 / (Omega_ii Omega_jj), in [0, 1] for PSD Omega."""
+    """gamma^2_ij = |Omega_ij|^2 / (Omega_ii Omega_jj), in [0, 1] for PSD Omega (see _gamma2)."""
     dii, djj = omega[i, i].real, omega[j, j].real
     if dii <= 0 or djj <= 0:
         raise UndefinedCoherenceError(
@@ -204,7 +208,8 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
     Points outside the valid region are marked invalid and left as NaN.
     Raises ConfigError for an empty grid or one that is not 1-D, one whose
     omega would exceed MAX_FIELD_BYTES, an a_min that is not positive and
-    finite, or a grid with no valid point.
+    finite, or a grid with no valid point. Raises NumericalError where Omega at a valid
+    point, or a coherence whose two diagonal entries are positive, is not finite.
     """
     wav, win = config.wavelet, config.window
     for name, grid in (("a_grid", config.a_grid), ("b_grid", config.b_grid)):
@@ -246,11 +251,14 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
     for ia in np.flatnonzero(valid.any(axis=1)):
         v = eigen_transforms(stream, system, a_grid[ia], b_grid[valid[ia]])
         omega[ia, valid[ia]] = eigen_expansion(v, system.retained_eigenvalues)
+    if not np.isfinite(omega[valid]).all():
+        raise NumericalError("omega is not finite at a valid grid point")
     # coherence() at every (point, i, j), NaN where a diagonal entry is not positive
     diag = np.diagonal(omega, axis1=2, axis2=3).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma2 = _gamma2(omega, diag[..., :, None], diag[..., None, :])
-    gamma2[(diag[..., :, None] <= 0) | (diag[..., None, :] <= 0)] = np.nan
+    dii, djj = np.broadcast_arrays(diag[..., :, None], diag[..., None, :])
+    defined = (dii > 0) & (djj > 0)
+    gamma2 = np.full(omega.shape, np.nan)
+    gamma2[defined] = _gamma2(omega[defined], dii[defined], djj[defined])
 
     meta = {
         "wavelet": wav.label,

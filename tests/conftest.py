@@ -46,19 +46,21 @@ def rng():
 
 @pytest.fixture(scope="session")
 def spline_oracle():
-    """Eigen-wavelet values from a scipy CubicSpline through a system's refined samples.
+    """Eigen-wavelet values from scipy's periodic CubicSpline through a system's refined samples.
 
     The reference for the table evaluator: the same cubic pieces, evaluated
     point by point by PPoly, zero on and outside the support edge.
     """
     from scipy.interpolate import CubicSpline
 
+    from oracles import refined_samples
+
     splines = {}
 
     def values(system, x):
         x = np.asarray(x, dtype=float)
         if system not in splines:
-            splines[system] = CubicSpline(*system._refined_samples())
+            splines[system] = CubicSpline(*refined_samples(system), bc_type="periodic")
         half = system.kernel.width / 2.0
         vals = splines[system](np.clip(x, -half, half)).astype(complex)
         vals[np.abs(x) >= half] = 0.0

@@ -105,6 +105,30 @@ def eigen_wavelet_value(system: EigenSystem, l: int, x) -> complex | np.ndarray:
     return out
 
 
+def refined_samples(system: EigenSystem):
+    """Knots and envelope samples of a system refined 8x by FFT, over one period.
+
+    The envelopes' periodic extension, trigonometrically interpolated: n * UPSAMPLE
+    samples from the first grid point, plus the closing sample (equal to the first)
+    one period on, as a periodic CubicSpline takes them.
+    """
+    n = system.grid.size
+    m = system.UPSAMPLE
+    spec = np.fft.fft(system.vectors, axis=0)
+    half = n // 2
+    padded = np.zeros((n * m, system.vectors.shape[1]), dtype=complex)
+    padded[:half] = spec[:half]
+    padded[-(n - half - 1):] = spec[half + 1:]
+    padded[half] = 0.5 * spec[half]
+    padded[n * m - half] = 0.5 * spec[half]
+    fine = np.fft.ifft(padded, axis=0) * m
+    if not np.iscomplexobj(system.vectors):
+        fine = fine.real
+    step = (system.grid[1] - system.grid[0]) / m
+    x = system.grid[0] + step * np.arange(n * m + 1)
+    return x, np.concatenate([fine, fine[:1]])
+
+
 def effective_frequency_response(system: EigenSystem, f) -> np.ndarray | float:
     """sum_l eta_l |Phi_l(f)|^2, the energy response of the eigen system.
 

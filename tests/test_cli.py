@@ -442,6 +442,17 @@ def test_non_finite_report_is_numerical_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_coherence_is_numerical_error(tmp_path, capsys):
+    # T = 1e-300 leaves Omega finite (its diagonal near 1e291) but |Omega_ij|^2
+    # overflows: refused before any file is written, with no overflow warning
+    path = tmp_path / "tiny.csv"
+    path.write_text("# p=2 T=1e-300\n1,1e-301\n2,2e-301\n1,5e-301\n")
+    assert run(["coherence", path, "--out", tmp_path / "out"]) == 4
+    assert "coherence is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "coherence.csv").exists()
+
+
 def test_non_finite_stationarity_report_is_refused_by_its_writer(tmp_path, poisson_file,
                                                                   capsys, monkeypatch):
     from eventspec import cli

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from eventspec import (NumericalError, SmoothedKernel, SmoothingWindow, ValidationError,
-                       Wavelet, eigensystem,
+from eventspec import (ConfigError, EigenSystem, NumericalError, SmoothedKernel,
+                       SmoothingWindow, ValidationError, Wavelet, eigensystem,
                        eigensystem_cached, eigensys, nystrom_decompose)
 from eventspec.studies import run_qq_coherence
 from eventspec.quadrature import simpson_rule
 from oracles import (dof_closed_form, effective_frequency_response, eigen_wavelet_value,
-                     full_kernel_matrix, rank_one_kernel, unfactorized_kernel, value_matrix)
+                     full_kernel_matrix, rank_one_kernel, refined_samples, unfactorized_kernel,
+                     value_matrix)
 
 
 class TestDecomposition:
@@ -194,7 +195,7 @@ class TestTableEvaluator:
     @staticmethod
     def probes(system):
         half = system.kernel.width / 2.0
-        knots = system._refined_samples()[0]
+        knots = system._knots
         rng = np.random.default_rng(7)
         inside = np.concatenate([rng.uniform(-half, half, 600), knots[np.abs(knots) < half],
                                  [np.nextafter(-half, 0.0), np.nextafter(half, 0.0)]])
@@ -213,11 +214,11 @@ class TestTableEvaluator:
     def test_sums_match_spline_oracle(self, table_system, spline_oracle):
         inside, outside = self.probes(table_system)
         for x in (inside, inside[::7], np.concatenate([outside, inside[:50]])):
-            got = table_system.summed_wavelets_at(x)
+            got = table_system.summed_wavelets_by_run(x, [x.size])[0]
             ref = spline_oracle(table_system, x).sum(axis=0)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.all(table_system.summed_wavelets_at(outside) == 0)
-        assert np.all(table_system.summed_wavelets_at(np.array([])) == 0)
+        assert np.all(table_system.summed_wavelets_by_run(outside, [outside.size])[0] == 0)
+        assert np.all(table_system.summed_wavelets_by_run(np.array([]), [0])[0] == 0)
 
     def test_no_spline_on_the_evaluation_path(self, monkeypatch, morlet_sys10):
         from scipy.interpolate import CubicSpline, PPoly
@@ -229,27 +230,28 @@ class TestTableEvaluator:
         assert not any(isinstance(v, PPoly) for v in vars(morlet_sys10).values())
         x = np.linspace(-9.5, 9.5, 41)
         morlet_sys10.eigen_wavelets_at(x)
-        morlet_sys10.summed_wavelets_at(x)
+        morlet_sys10.summed_wavelets_by_run(x, [x.size])
 
 
 class TestNotAKnotTable:
-    """The B-spline coefficient table against scipy's CubicSpline on the same refined samples.
+    """The B-spline coefficient table against scipy's periodic CubicSpline on the same samples.
 
-    scipy's BSpline evaluates the table on the uniform knot vector it implies (3 knots
-    beyond each end), independently of the package's own evaluator.
+    The refined samples come from the FFT refinement in tests/oracles.py. scipy's BSpline
+    evaluates the table on the uniform knot vector it implies (3 knots beyond each end),
+    independently of the package's own evaluator; the class is named for the not-a-knot
+    construction the periodic one replaced.
     """
 
     @staticmethod
     def assert_matches_cubic_spline(system):
         from scipy.interpolate import BSpline, CubicSpline
-        knots, samples = system._refined_samples()
-        coef, step = system.coefficients, system._step
+        knots, coef, step = system._knots, system.coefficients, system._step
         assert coef.shape == (len(knots) + 2, system.n_retained)
         table = BSpline(knots[0] + step * np.arange(-3, len(coef) + 1), coef, 3)
         rng = np.random.default_rng(5)
         x = np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1]),
                             rng.uniform(knots[0], knots[-1], 1000)])
-        ref = CubicSpline(knots, samples)(x)
+        ref = CubicSpline(*refined_samples(system), bc_type="periodic")(x)
         assert np.abs(table(x) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_matches_cubic_spline(self, table_system):
@@ -260,10 +262,24 @@ class TestNotAKnotTable:
         self.assert_matches_cubic_spline(eigensystem_cached("morlet", kappa))
 
     def test_nan_sample_is_numerical_error(self, morlet_sys10):
-        x, y = morlet_sys10._refined_samples()
-        y[100, 3] = np.nan
+        vectors = morlet_sys10.vectors.copy()
+        vectors[100, 3] = np.nan
         with pytest.raises(NumericalError, match="not finite"):
-            eigensys._not_a_knot_coefficients(x, y)
+            EigenSystem(morlet_sys10.kernel, morlet_sys10.eigenvalues, vectors,
+                        morlet_sys10.energy_cutoff, 0.0)
+
+    def test_table_above_the_byte_limit_is_config_error(self, monkeypatch, morlet_sys10):
+        # refused before any FFT, naming n_points, kappa and the bytes
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT run above the byte limit")
+
+        monkeypatch.setattr(eigensys, "MAX_TABLE_BYTES", 1 << 19)
+        monkeypatch.setattr(eigensys.np.fft, "fft", refuse)
+        monkeypatch.setattr(eigensys.np.fft, "ifft", refuse)
+        nbytes = 16 * 512 * 8 * morlet_sys10.n_retained
+        with pytest.raises(ConfigError, match=rf"n_points=512, kappa=10 needs {nbytes} bytes"):
+            EigenSystem(morlet_sys10.kernel, morlet_sys10.eigenvalues, morlet_sys10.vectors,
+                        morlet_sys10.energy_cutoff, 0.0)
 
 
 class TestEigenWaveletValues:

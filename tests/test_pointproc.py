@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
 from eventspec import pointproc
@@ -68,6 +69,22 @@ class TestCsv:
         save_csv(stream, p1)
         save_csv(load_csv(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), p=st.integers(1, 4), T=st.floats(1e-300, 1e300))
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, data, p, T):
+        # any streams, empty ones included, come back with the same float64 bits and T
+        times = st.floats(0.0, T, exclude_min=True)
+        sizes = st.sampled_from([0, 5, 30])
+        events = [np.unique(data.draw(st.lists(times, max_size=data.draw(sizes))))
+                  for _ in range(p)]
+        stream = EventStream(events, T)
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        save_csv(stream, path)
+        back = load_csv(path)
+        assert back.p == p and np.float64(back.T).tobytes() == np.float64(T).tobytes()
+        for got, want in zip(back.events, stream.events):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestPoisson:

@@ -175,6 +175,66 @@ class TestCoherence:
             coherence(om, 0, 1)
 
 
+@st.composite
+def psd_transforms(draw, n_points, L):
+    """Transforms v, shape (n_points, p, L), real or complex, some streams all zero."""
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    v = scale * rng.standard_normal((n_points, p, L))
+    if draw(st.booleans()):
+        v = v + 1j * scale * rng.standard_normal((n_points, p, L))
+    v[:, draw(st.lists(st.integers(0, p - 1), max_size=p))] = 0.0
+    return v
+
+
+class TestCoherenceBounds:
+    """gamma^2 lies in [0, 1] on PSD Omega = eigen_expansion(v, eta) with eta >= 0."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), L=st.integers(1, 6))
+    def test_coherence(self, data, L):
+        v = data.draw(psd_transforms(3, L))
+        eta = np.array(data.draw(st.lists(st.floats(0.0, 10.0) | st.just(0.0),
+                                          min_size=L, max_size=L)))
+        for om in spectra.eigen_expansion(v, eta):
+            p = om.shape[0]
+            for i in range(p):
+                for j in range(p):
+                    dii, djj = om[i, i].real, om[j, j].real
+                    if dii > 0 and djj > 0:
+                        try:
+                            assert 0.0 <= coherence(om, i, j) <= 1.0
+                        except NumericalError:  # only where a square leaves the float range
+                            assert not 1e-150 < min(dii, djj) <= max(dii, djj) < 1e150
+                    else:
+                        with pytest.raises(UndefinedCoherenceError):
+                            coherence(om, i, j)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_field_gamma2(self, data, morlet_sys10):
+        # field() with its transforms replaced by random ones; eta is the system's
+        n_b = 6
+        v = data.draw(psd_transforms(n_b, morlet_sys10.n_retained))
+        p = v.shape[1]
+        config = FieldConfig(wavelet=Wavelet.morlet(), window=SmoothingWindow.rectangular(10.0),
+                             a_grid=np.array([0.5, 1.0, 2.0]),
+                             b_grid=np.linspace(20.0, 80.0, n_b))
+
+        def random_transforms(stream, system, a, b_grid):
+            return v[: len(b_grid)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "eigen_transforms", random_transforms)
+            result = field(EventStream([np.array([50.0])] * p, 100.0), config)
+        gamma2 = result.gamma2[result.valid]
+        diag = np.diagonal(result.omega[result.valid], axis1=1, axis2=2).real
+        defined = (diag[:, :, None] > 0) & (diag[:, None, :] > 0)
+        assert np.all((gamma2[defined] >= 0.0) & (gamma2[defined] <= 1.0))
+        assert np.all(np.isnan(gamma2[~defined]))
+
+
 class TestCoordinates:
     def test_apex_maps_to_unit(self):
         T, alpha, kappa = 100.0, 8.0, 20.0
