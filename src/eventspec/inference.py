@@ -65,7 +65,7 @@ class CoherenceDistribution:
     n is the effective degrees of freedom, rho2 the true spectral coherence
     at the analyzing frequency. With rho2 = 0 the law reduces to
     Beta(1, n-1) for a complex wavelet and Beta(1/2, (n-1)/2) for a real
-    one.
+    one, and cdf uses those closed forms. cdf clips x to [0, 1].
     """
 
     n: float
@@ -86,8 +86,12 @@ class CoherenceDistribution:
 
         The substitution removes the x^(-1/2) endpoint singularity of the
         real flavor; the tiny mass beyond 1 - 1e-9 is folded in by
-        normalizing the result to end at one.
+        normalizing the result to end at one. The integrand is unbounded at
+        y -> 1 for n < 3 (real) and n < 2 (complex): a ValidationError there.
         """
+        if self.n < (3.0 if self.flavor is Flavor.REAL else 2.0):
+            raise ValidationError(
+                f"cdf_grid cannot integrate the {self.flavor.value} law at n={self.n}")
         y = np.linspace(0.0, math.sqrt(1.0 - 1e-9), CDF_GRID_POINTS)
         x = y * y
         integrand = np.empty_like(y)
@@ -103,8 +107,14 @@ class CoherenceDistribution:
         return x, cdf / cdf[-1]
 
     def cdf(self, x):
-        grid, vals = self._cdf_table
-        return np.interp(np.asarray(x, dtype=float), grid, vals)
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        if self.rho2 != 0.0:
+            grid, vals = self._cdf_table
+            return np.interp(x, grid, vals)
+        if self.flavor is Flavor.COMPLEX:
+            return 1.0 - (1.0 - x) ** (self.n - 1.0)
+        from scipy.special import betainc  # slow to import; kept off the CLI's import path
+        return betainc(0.5, (self.n - 1.0) / 2.0, x)
 
     @cached_property
     def _cdf_table(self):

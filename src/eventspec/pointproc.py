@@ -200,21 +200,23 @@ class HawkesParams:
 
 
 def simulate_poisson(rates, T: float, seed) -> EventStream:
-    """Independent homogeneous Poisson components with the given rates."""
+    """Independent homogeneous Poisson components with the given rates.
+
+    Raises ValidationError for a negative or non-finite rate, a T that is not
+    positive and finite, or an expected count above MAX_EXPECTED_EVENTS.
+    """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
-    if np.any(rates < 0):
-        raise ValidationError("Poisson rates must be non-negative")
-    if T <= 0:
-        raise ValidationError("T must be positive")
+    if not np.all((rates >= 0) & (rates < math.inf)):
+        raise ValidationError("Poisson rates must be non-negative and finite")
+    if not 0 < T < math.inf:
+        raise ValidationError("T must be positive and finite")
+    _check_event_budget(float(rates.sum()) * T)
     rng = np.random.default_rng(seed)
     events = []
     for lam in rates:
-        n = rng.poisson(lam * T)
-        times = np.sort(rng.uniform(0.0, T, n))
-        # strictly increasing and inside (0, T]
-        times = times[times > 0]
-        times = np.unique(times)
-        events.append(times)
+        times = rng.uniform(0.0, T, rng.poisson(lam * T))
+        # strictly increasing (np.unique sorts) and inside (0, T]
+        events.append(np.unique(times[times > 0]))
     return EventStream(events, T)
 
 

@@ -155,7 +155,8 @@ class FieldConfig:
     With a_grid/b_grid unset, a logarithmic scale grid (n_a points between
     a_min and a_max) and a uniform translation grid (n_b points) are built.
     a_min defaults to the smallest scale at which the kernel support is
-    expected to hold at least MIN_EXPECTED_EVENTS of the sparsest stream.
+    expected to hold at least MIN_EXPECTED_EVENTS of the sparsest stream,
+    capped at 0.99 a_max (the cap alone when that stream is empty).
     """
 
     wavelet: Wavelet
@@ -231,9 +232,8 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
     else:
         a_min = config.a_min
         if a_min is None:
-            rates = stream.counts() / stream.T
-            lam = max(float(rates.min()), 1e-12)
-            a_min = MIN_EXPECTED_EVENTS / (lam * region.width)
+            lam = float(stream.counts().min()) / stream.T  # the sparsest stream's rate
+            a_min = MIN_EXPECTED_EVENTS / (lam * region.width) if lam > 0 else math.inf
         a_min = min(a_min, 0.99 * region.a_max)
         a_grid = np.geomspace(a_min, region.a_max, config.n_a)
     if config.b_grid is not None:

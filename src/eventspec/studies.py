@@ -5,9 +5,11 @@ JSON summary to a directory). The same functions back the `reproduce` CLI
 subcommand and the acceptance test suite; replicate counts are arguments
 so tests can pin the documented defaults.
 
-Per-replicate seeds are derived from the master seed with a counter scheme
-(SeedSequence spawn keys), so results are deterministic regardless of any
-execution order or parallelism.
+Every study draws its replicates through one loop, _replicates, whose seeds
+come from the master seed by a counter scheme (SeedSequence spawn keys), so
+results do not depend on execution order. Statistics, chi-squared dof and
+null laws come from the library. The LRT studies write NaN for a scale the
+test excluded; test-size's chi2_ks_p is None for a scale with no statistic.
 """
 
 from __future__ import annotations
@@ -54,17 +56,17 @@ def _replicate_seed(master: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=(index,))
 
 
+def _replicates(make_stream, statistic, replicates: int, seed: int) -> list:
+    """statistic(make_stream(seed sequence r)) for each replicate r: every study's loop."""
+    return [statistic(make_stream(_replicate_seed(seed, r))) for r in range(replicates)]
+
+
 def qq_correlation(sample: np.ndarray) -> float:
     """Correlation between ordered sample and standard-normal quantiles."""
     from scipy.special import ndtri  # slow to import; kept off the CLI's import path
     n = sample.size
     probs = (np.arange(1, n + 1) - 0.5) / n
     return float(np.corrcoef(np.sort(sample), ndtri(probs))[0, 1])
-
-
-def _hawkes_sigma(f: float) -> float:
-    par = HawkesParams.from_dict(UNIVARIATE_HAWKES)
-    return float(hawkes_spectrum(par, f)[0, 0].real)
 
 
 def run_qq_cwt(wavelet_kind: str = "morlet", process: str = "poisson",
@@ -78,44 +80,27 @@ def run_qq_cwt(wavelet_kind: str = "morlet", process: str = "poisson",
     spectrum at the analyzing frequency.
     """
     wav = Wavelet.named(wavelet_kind)
-    f0 = wav.central_frequency
+    par = HawkesParams.from_dict(UNIVARIATE_HAWKES)
     results = []
     raw_rows = []
     for T in horizons:
         a = a_tilde * T / wav.alpha
-        b = T / 2.0
-        f_a = f0 / a
         if process == "poisson":
             sigma2 = 1.0
+            make = lambda sq: simulate_poisson([1.0], T, seed=sq)
         elif process == "hawkes":
-            sigma2 = _hawkes_sigma(f_a)
+            sigma2 = float(hawkes_spectrum(par, wav.central_frequency / a)[0, 0].real)
+            make = lambda sq: simulate_hawkes(par, T, seed=sq)
         else:
             raise ConfigError(f"unknown process {process!r}")
-        par = HawkesParams.from_dict(UNIVARIATE_HAWKES) if process == "hawkes" else None
-        re_part = np.empty(replicates)
-        im_part = np.empty(replicates)
-        for r in range(replicates):
-            sq = _replicate_seed(seed, r)
-            if process == "poisson":
-                stream = simulate_poisson([1.0], T, seed=sq)
-            else:
-                stream = simulate_hawkes(par, T, seed=sq)
-            w_val = cwt(stream, wav, a, b)[0]
-            re_part[r] = w_val.real
-            im_part[r] = w_val.imag
-        if wav.is_complex:
-            scale = math.sqrt(sigma2 / 2.0)
-            entry = {"T": T, "qq_re": qq_correlation(re_part / scale),
-                     "qq_im": qq_correlation(im_part / scale)}
-        else:
-            scale = math.sqrt(sigma2)
-            entry = {"T": T, "qq_re": qq_correlation(re_part / scale),
-                     "qq_im": None}
-        raw_rows.extend((T, r, re_part[r] / scale, im_part[r] / scale)
-                        for r in range(replicates))
-        results.append(entry)
-    final = results[-1]
-    qq_final = min(v for v in (final["qq_re"], final["qq_im"]) if v is not None)
+        w = np.array(_replicates(make, lambda s: cwt(s, wav, a, T / 2.0)[0], replicates, seed))
+        # real and imaginary parts scaled apart: a complex / real division can move the last bit
+        scale = math.sqrt(sigma2 / 2.0 if wav.is_complex else sigma2)
+        re_part, im_part = w.real / scale, w.imag / scale
+        results.append({"T": T, "qq_re": qq_correlation(re_part),
+                        "qq_im": qq_correlation(im_part) if wav.is_complex else None})
+        raw_rows.extend((T, r, re_part[r], im_part[r]) for r in range(replicates))
+    qq_final = min(v for v in (results[-1]["qq_re"], results[-1]["qq_im"]) if v is not None)
     if out_dir is not None:
         _write_rows(out_dir, f"qq-cwt_{wavelet_kind}_{process}_draws.csv",
                     ["T", "replicate", "re_standardized", "im_standardized"],
@@ -136,19 +121,15 @@ def _write_rows(out_dir: str, name: str, header: list, rows) -> None:
 def _coherence_draws(system: EigenSystem, make_stream, T: float,
                      a_tilde: float, b_tilde: float, replicates: int,
                      seed: int) -> np.ndarray:
-    width = system.kernel.width
     a, b = denormalize_coords(a_tilde, b_tilde, T, system.kernel.wavelet.alpha,
                               system.kernel.window.kappa)
     if not ValidRegion(system.kernel.wavelet.alpha, system.kernel.window.kappa,
                        T).contains(a, b):
         raise ConfigError(f"(a_tilde={a_tilde}, b_tilde={b_tilde}) falls outside "
                           f"the valid triangle at T={T}")
-    draws = np.empty(replicates)
-    for r in range(replicates):
-        stream = make_stream(_replicate_seed(seed, r))
-        om = smoothed_periodogram_eigen(stream, system, a, b)
-        draws[r] = coherence(om, 0, 1)
-    return draws
+    return np.array(_replicates(
+        make_stream, lambda s: coherence(smoothed_periodogram_eigen(s, system, a, b), 0, 1),
+        replicates, seed), dtype=float)
 
 
 def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
@@ -164,7 +145,6 @@ def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
     """
     system = eigensystem_cached(wavelet_kind, kappa)
     n = system.degrees_of_freedom()
-    flavor = Flavor.of(system.kernel.wavelet)
     if process == "poisson":
         make = lambda sq: simulate_poisson([rate, rate], T, seed=sq)
         rho2 = 0.0
@@ -177,15 +157,8 @@ def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
         raise ConfigError(f"unknown process {process!r}")
     draws = _coherence_draws(system, make, T, a_tilde, b_tilde, replicates, seed)
     from scipy import stats as sstats  # slow to import; used only for the KS test
-    dist = CoherenceDistribution(n=n, rho2=rho2, flavor=flavor)
-    if rho2 == 0.0:
-        if flavor is Flavor.COMPLEX:
-            cdf = lambda x: 1.0 - (1.0 - np.asarray(x)) ** (n - 1.0)
-        else:
-            cdf = sstats.beta(0.5, (n - 1.0) / 2.0).cdf
-    else:
-        cdf = dist.cdf
-    ks_stat, ks_p = sstats.kstest(draws, cdf)
+    dist = CoherenceDistribution(n=n, rho2=rho2, flavor=Flavor.of(system.kernel.wavelet))
+    ks_stat, ks_p = sstats.kstest(draws, dist.cdf)
     if out_dir is not None:
         _write_rows(out_dir, f"qq-coherence_{wavelet_kind}_{process}_draws.csv",
                     ["replicate", "coherence"], list(enumerate(draws)))
@@ -224,37 +197,40 @@ def run_null_percentile(wavelet_kind: str = "morlet", kappa: float = 10.0,
             "q": q, "dof": n, "percentile": value, "passed": passed}
 
 
+def _lrt_replicates(make_stream, config: StationarityConfig, replicates: int,
+                    seed: int, level: float):
+    """stationarity_test on each replicate: statistics and p-values as (replicates, J)
+    arrays, NaN at an excluded scale, the rejection rate at level per scale, and the
+    first report, whose per-scale chi-squared dof and meta hold for every replicate."""
+    reports = _replicates(make_stream, lambda s: stationarity_test(s, config),
+                          replicates, seed)
+    # a float array holds None as NaN
+    stats = np.array([[s.statistic for s in r.scales] for r in reports], dtype=float)
+    pvals = np.array([[s.p_value for s in r.scales] for r in reports], dtype=float)
+    return stats, pvals, (pvals < level).mean(axis=0), reports[0]
+
+
 def run_test_size(rates=(2.0, 2.0), T: float = 1500.0, kappa: float = 6.0,
                   c: float = 0.25, J: int = 3, level: float = 0.05,
                   replicates: int = 500, seed: int = 20252,
                   out_dir: str | None = None) -> dict:
     """Size of the stationarity test under a stationary Poisson null."""
     config = StationarityConfig(kappa=kappa, c=c, J=J)
-    system = config.resolve_system(T)
-    rejections = np.zeros(J)
-    statistics = [[] for _ in range(J)]
-    for r in range(replicates):
-        stream = simulate_poisson(list(rates), T, seed=_replicate_seed(seed, r))
-        report = stationarity_test(stream, config)
-        for s in report.scales:
-            statistics[s.j - 1].append(s.statistic)
-            if s.p_value is not None and s.p_value < level:
-                rejections[s.j - 1] += 1
+    stats, _, rejection, first = _lrt_replicates(
+        lambda sq: simulate_poisson(list(rates), T, seed=sq), config, replicates, seed, level)
     from scipy import stats as sstats  # slow to import; used only for the KS test
     ks = []
-    for j in range(J):
-        arr = np.asarray(statistics[j])
-        dof = (2 ** (j + 1) - 1) * len(rates) ** 2
-        ks.append(float(sstats.kstest(arr, sstats.chi2(dof).cdf).pvalue))
+    for column, scale in zip(stats.T, first.scales):
+        valid = column[~np.isnan(column)]
+        ks.append(float(sstats.kstest(valid, sstats.chi2(scale.dof).cdf).pvalue)
+                  if valid.size else None)
     if out_dir is not None:
-        rows = [(j + 1, r, statistics[j][r])
-                for j in range(J) for r in range(len(statistics[j]))]
-        _write_rows(out_dir, "test-size_draws.csv",
-                    ["scale_j", "replicate", "statistic"], rows)
-    rate_list = (rejections / replicates).tolist()
+        _write_rows(out_dir, "test-size_draws.csv", ["scale_j", "replicate", "statistic"],
+                    [(j + 1, r, stats[r, j]) for j in range(J) for r in range(replicates)])
+    rate_list = rejection.tolist()
     return {"study": "test-size", "rates": list(rates), "T": T, "kappa": kappa,
             "c": c, "J": J, "level": level, "replicates": replicates,
-            "seed": seed, "dof_n": system.degrees_of_freedom(),
+            "seed": seed, "dof_n": first.meta["dof_n"],
             "rejection_rates": rate_list,
             "chi2_ks_p": ks,
             "passed": bool(all(0.028 <= r <= 0.078 for r in rate_list))}
@@ -266,30 +242,19 @@ def run_piecewise_detection(kappa: float = 8.0, c: float = 0.25, J: int = 3,
                             out_dir: str | None = None) -> dict:
     """Per-scale rejection rates on the piecewise-stationary Hawkes design."""
     segments = piecewise_segments()
-    T = segments[-1][0][1]
     config = StationarityConfig(kappa=kappa, c=c, J=J)
-    system = config.resolve_system(T)
-    rejections = np.zeros(J)
-    raw = []
-    for r in range(replicates):
-        stream = simulate_piecewise(segments, seed=_replicate_seed(seed, r))
-        report = stationarity_test(stream, config)
-        for s in report.scales:
-            raw.append((s.j, r, s.p_value if s.p_value is not None else float("nan")))
-            if s.p_value is not None and s.p_value < level:
-                rejections[s.j - 1] += 1
+    _, pvals, rejection, first = _lrt_replicates(
+        lambda sq: simulate_piecewise(segments, seed=sq), config, replicates, seed, level)
     if out_dir is not None:
-        _write_rows(out_dir, "piecewise-detection_draws.csv",
-                    ["scale_j", "replicate", "p_value"], raw)
-    rate_list = (rejections / replicates).tolist()
+        _write_rows(out_dir, "piecewise-detection_draws.csv", ["scale_j", "replicate", "p_value"],
+                    [(j + 1, r, pvals[r, j]) for r in range(replicates) for j in range(J)])
+    rate_list = rejection.tolist()
     # pass/fail per the stated acceptance thresholds (j=1 > 0.5, j=3 < 0.15);
     # structurally unattainable for this symmetric design, see the ledger
-    passed = None
-    if J >= 3:
-        passed = bool(rate_list[0] > 0.5 and rate_list[2] < 0.15)
+    passed = bool(rate_list[0] > 0.5 and rate_list[2] < 0.15) if J >= 3 else None
     return {"study": "piecewise-detection", "kappa": kappa, "c": c, "J": J,
             "level": level, "replicates": replicates, "seed": seed,
-            "dof_n": system.degrees_of_freedom(),
+            "dof_n": first.meta["dof_n"],
             "rejection_rates": rate_list, "passed": passed}
 
 

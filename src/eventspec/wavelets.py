@@ -79,7 +79,6 @@ class Wavelet:
         self.alpha = float(alpha)
         self.modulation = float(modulation)
         self._raw_envelope = envelope
-        self._envelope_complex = envelope_complex
         self.is_complex = envelope_complex or modulation != 0.0
         self._fit_corrections()
 
@@ -183,7 +182,6 @@ class Wavelet:
         if norm <= 0:
             raise ValidationError("wavelet has zero norm on its support")
         self._scale = norm
-        self._quad = (x, w)
 
     # -- evaluation -----------------------------------------------------
 

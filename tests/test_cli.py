@@ -431,6 +431,19 @@ def test_reproduce_takes_valid_argument_values(tmp_path):
     assert (doc["rates"], doc["T"], doc["replicates"]) == ([2, 2.5], 200, 2)
 
 
+def test_test_size_with_excluded_scales(tmp_path):
+    # at these rates every segment periodogram is singular, so every scale is excluded
+    # and has no statistic to test: the KS p-value is null and the draws are nan
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"args": {"rates": [0.001, 0.001], "T": 100.0}}))
+    assert run(["reproduce", "test-size", "--replicates", 3, "--config", path,
+                "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "test-size.json").read_text())
+    assert doc["chi2_ks_p"] == [None, None, None] and doc["rejection_rates"] == [0.0] * 3
+    rows = list(csv.reader(open(tmp_path / "test-size_draws.csv")))[1:]
+    assert len(rows) == 9 and {row[2] for row in rows} == {"nan"}
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_report_is_numerical_error(tmp_path, capsys):
     # T = 1e300 degenerates the kernel (eigenvalue sum 0, n = inf): refused where the

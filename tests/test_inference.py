@@ -85,6 +85,21 @@ class TestCoherenceDensity:
                              np.sqrt(x), limit=200)
             assert dist.cdf(x) == pytest.approx(direct, abs=1e-6)
 
+    @pytest.mark.parametrize("flavor, n", [(Flavor.REAL, 2.0), (Flavor.REAL, 2.5),
+                                           (Flavor.COMPLEX, 1.5)])
+    def test_cdf_grid_refuses_unbounded_integrand(self, flavor, n):
+        # the trapezoid rule in y = sqrt(x) was off by up to 0.55 here
+        with pytest.raises(ValidationError, match="cdf_grid"):
+            CoherenceDistribution(n=n, rho2=0.4, flavor=flavor).cdf(0.5)
+
+    @pytest.mark.parametrize("flavor, n", [(Flavor.REAL, 2.0), (Flavor.COMPLEX, 1.5)])
+    def test_null_cdf_at_small_n_matches_quadrature(self, flavor, n):
+        dist = CoherenceDistribution(n=n, rho2=0.0, flavor=flavor)
+        for x in [0.1, 0.5, 0.9]:
+            direct, _ = quad(lambda y: dist.pdf(y * y) * 2.0 * y, 0.0, np.sqrt(x), limit=200)
+            assert dist.cdf(x) == pytest.approx(direct, abs=1e-8)
+        assert list(dist.cdf([-0.5, 0.0, 1.0, 1.5])) == [0.0, 0.0, 1.0, 1.0]
+
 
 class TestNullPercentile:
     def test_morlet_kappa10_percentile(self, morlet_sys10):
@@ -96,12 +111,13 @@ class TestNullPercentile:
         assert null_percentile(Flavor.COMPLEX, 2.0, 0.95) == pytest.approx(
             0.95, abs=1e-12)
 
-    def test_closed_form_inverts_cdf(self):
-        for n in [3.3, 8.31, 25.0]:
-            for q in [0.1, 0.5, 0.95, 0.999]:
-                x = null_percentile(Flavor.COMPLEX, n, q)
-                cdf = 1.0 - (1.0 - x) ** (n - 1.0)
-                assert cdf == pytest.approx(q, abs=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(flavor=st.sampled_from(list(Flavor)), n=st.floats(2.0, 200.0),
+           q=st.floats(0.001, 0.999))
+    def test_closed_form_inverts_cdf(self, flavor, n, q):
+        # at rho2 = 0 cdf is the closed form, so it inverts null_percentile to rounding
+        x = null_percentile(flavor, n, q)
+        assert CoherenceDistribution(n, 0.0, flavor).cdf(x) == pytest.approx(q, abs=1e-13)
 
     def test_real_median_against_density_quadrature(self):
         n = 10.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,17 @@ class TestPoisson:
         cov = np.cov(c1, c2)[0, 1]
         sigma = np.sqrt(2.0 * 3.0 / len(c1))
         assert abs(cov) < 3.0 * sigma
+
+    def test_event_budget_and_non_finite_input_refused(self, monkeypatch):
+        # a low budget stands in for the default: a real 1e7-event draw is not run
+        monkeypatch.setattr(pointproc, "MAX_EXPECTED_EVENTS", 100)
+        assert simulate_poisson([1.0, 0.5], 60.0, seed=1).p == 2  # 90 expected
+        with pytest.raises(ValidationError, match="budget"):
+            simulate_poisson([1.0, 0.5], 80.0, seed=1)  # 120 expected
+        for rates, T in [([1.0], math.inf), ([1.0], math.nan), ([math.inf], 1.0),
+                         ([math.nan], 1.0), ([-1.0], 1.0)]:
+            with pytest.raises(ValidationError):
+                simulate_poisson(rates, T, seed=1)
 
     def test_determinism(self):
         a = simulate_poisson([2.0, 1.0], 100.0, seed=42)

@@ -369,6 +369,19 @@ class TestField:
         assert meta["p"] == 2 and meta["T"] == 200.0
         assert meta["dof"] == pytest.approx(4.335, abs=0.01)
 
+    def test_default_a_min_follows_sparse_data(self):
+        # rate 2e-20 per stream: the grid starts where supports hold events, so every
+        # valid point has a non-zero Omega (a 1e-12 rate floor once started it at 5.6e11)
+        s = EventStream([[1e19, 5e19], [2e19, 7e19]], 1e20)
+        result = field(s, self.make_config())
+        a_max = result.a_grid[-1]
+        assert result.a_grid[0] >= 0.99 * a_max
+        omega = result.omega[result.valid]
+        assert omega.shape[0] > 0 and np.all(omega != 0)
+        # an empty stream leaves only the cap
+        empty = field(EventStream([[10.0, 60.0], []], 100.0), self.make_config(n_a=4))
+        assert empty.a_grid[0] == 0.99 * empty.a_grid[-1]
+
     def test_csv_round_trip(self, tmp_path):
         s = simulate_poisson([2.0, 2.0], 100.0, seed=4)
         cfg = self.make_config(a_grid=np.array([2.0]), b_grid=np.array([50.0]))
