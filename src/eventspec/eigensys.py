@@ -5,8 +5,10 @@ uniform midpoint grid with equal weights w = (alpha + kappa)/n, giving the
 matrix problem (w K) phi = eta phi. Because the weights are uniform the
 weighted problem is already Hermitian, eigenvalues are real and the
 eigenvectors are orthonormal under the weighted inner product once scaled
-by w^(-1/2). A system whose eigenvalue sum is zero or not finite, or whose
-degrees of freedom are not finite, raises NumericalError where it is built.
+by w^(-1/2). The solve symmetrises and weights one copy of K in place, and
+a system owns only its L retained eigenvector columns, not all n_points. A
+system whose eigenvalue sum is zero or not finite, or whose degrees of
+freedom are not finite, raises NumericalError where it is built.
 
 Eigen-wavelet envelopes are kept as (n_knots + 2, L) cubic B-spline coefficients of
 the periodic cubic spline through their 8x FFT refinement. One FFT pass builds them: the
@@ -81,7 +83,7 @@ class EigenSystem:
         # guard against the discretization noise floor of the eigensolve
         n_floor = int(np.count_nonzero(eigenvalues > 1e-12 * eigenvalues[0]))
         self.n_retained = max(1, min(n_keep, n_floor, vectors.shape[1]))
-        self.vectors = vectors[:, : self.n_retained]
+        self.vectors = vectors[:, : self.n_retained].copy()  # not a view that keeps all n columns
         if not np.sum(self.retained_eigenvalues**2) > 0.0:
             raise NumericalError("degrees of freedom 1 / sum(eta^2) are not finite")
         self.diagnostics = {"trace_error": abs(kernel.trace_estimate() - 1.0),
@@ -194,23 +196,28 @@ def nystrom_decompose(kernel: SmoothedKernel,
         raise ValidationError("n_points must be at least 64")
 
     mat = kernel.envelope_values
-    asym = np.max(np.abs(mat - np.conj(mat.T)))
+    # w (mat + mat^H) / 2 in one buffer, in place: the sums and products of the out-of-place form
+    sym = np.conj(mat.T)
+    asym = np.max(np.abs(mat - sym))
     scale = max(np.max(np.abs(mat)), 1.0)
     if asym > 1e-10 * scale:
         raise NumericalError(f"sampled kernel is not Hermitian (asymmetry {asym:.3e})")
-    mat = 0.5 * (mat + np.conj(mat.T))
+    sym += mat
+    sym *= 0.5
+    sym *= kernel.weight
 
-    eta, vecs = np.linalg.eigh(kernel.weight * mat)
+    eta, vecs = np.linalg.eigh(sym)
+    del sym
     order = np.argsort(eta)[::-1]
     eta = np.clip(eta[order], 0.0, None)
     vecs = vecs[:, order]
     # weighted orthonormality: sum w |phi|^2 = 1
-    vecs = vecs / math.sqrt(kernel.weight)
+    vecs /= math.sqrt(kernel.weight)
     # fix the arbitrary per-vector phase/sign
     idx = np.argmax(np.abs(vecs), axis=0)
     lead = vecs[idx, np.arange(vecs.shape[1])]
     lead = np.where(np.abs(lead) == 0, 1.0, lead)
-    vecs = vecs * np.conj(lead / np.abs(lead))[None, :]
+    vecs *= np.conj(lead / np.abs(lead))[None, :]
     if not np.iscomplexobj(mat):
         vecs = vecs.real
     return EigenSystem(kernel, eta, vecs, energy_cutoff, asym)

@@ -16,6 +16,10 @@ For a wavelet with an analytic phase factor, psi(t) = e^{i 2 pi f t} r(t),
 the kernel factorizes as K(s, t) = e^{i 2 pi f (s - t)} k(s, t) with k the
 real symmetric kernel of the envelope r. SmoothedKernel stores k and the
 modulation frequency in that case so downstream eigendecompositions stay real.
+
+Memory: a grid build holds the n_points^2 matrix, one block of cells (at most 4 MB
+per real array, filled a few rows at a time into a reused buffer), its conjugate copy
+and their product; MAX_GRID_POINTS, MAX_TABLE_BYTES and MAX_FIELD_BYTES cap the rest.
 """
 
 from __future__ import annotations
@@ -189,6 +193,7 @@ def _cell_factors(kern: "SmoothedKernel", point_sets: list):
     than the grid step are split evenly, each cell gets CELL_QUAD_POINTS nodes,
     and a point is in a cell's support if its midpoint is (one-sided limits at
     the edges). Summed over blocks, F_s^T conj(F_t) is k(s_i, t_j), PSD for s = t.
+    Every block of a set is a read-only view of one reused buffer: use it before the next.
     """
     half, edge = kern.wavelet.alpha / 2.0, kern.window.kappa / 2.0
     cuts = np.unique(np.clip(np.concatenate([pts + d for pts in point_sets for d in (-half, half)]
@@ -201,14 +206,24 @@ def _cell_factors(kern: "SmoothedKernel", point_sets: list):
     frac, wts = _gauss_legendre(CELL_QUAD_POINTS)
     widest = max(1, max(pts.size for pts in point_sets))
     step = max(1, (1 << 19) // (CELL_QUAD_POINTS * widest))  # blocks of <= 4 MB per real array
+    chunk = max(1, (1 << 15) // widest)  # nodes filled at once: temporaries of <= 256 kB
+    bufs = [np.empty((min(step, cuts.size - 1) * frac.size, pts.size), kern.dtype)
+            for pts in point_sets]
     for start in range(0, cuts.size - 1, step):
         lo = cuts[start:start + step + 1]
         width = np.diff(lo)[:, None]
         u = (lo[:-1, None] + width * frac).ravel()
         mid = np.repeat(lo[:-1] + width[:, 0] / 2.0, frac.size)[:, None]
         root = np.sqrt((width * wts).ravel() * kern.window.density(u))[:, None]
-        yield [np.where(np.abs(pts - mid) < half, kern.wavelet.envelope_smooth(pts - u[:, None]),
-                        0.0) * root for pts in point_sets]
+        blocks = [buf[:u.size] for buf in bufs]
+        for pts, block in zip(point_sets, blocks):
+            for r in range(0, u.size, chunk):
+                c = slice(r, r + chunk)
+                np.multiply(np.where(np.abs(pts - mid[c]) < half,
+                                     kern.wavelet.envelope_smooth(pts - u[c, None]), 0.0),
+                            root[c], out=block[c])
+            block.flags.writeable = False
+        yield blocks
 
 
 def kernel_value(wavelet: Wavelet, window: SmoothingWindow, s, t,
@@ -252,15 +267,16 @@ class SmoothedKernel:
         self.grid, self.weight = midpoint_grid(-self.width / 2.0, self.width / 2.0,
                                                self.n_points)
         self.modulation = wavelet.modulation
+        self.dtype = complex if wavelet.is_complex and self.modulation == 0.0 else float
         self.envelope_values = self._cell_sum(self.grid, self.grid)
 
     # -- evaluation -----------------------------------------------------
 
     def _cell_sum(self, s_pts: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
         """Envelope kernel k(s_i, t_j), the sum of F_s^T conj(F_t) over the cell blocks."""
-        out = np.zeros((s_pts.size, t_pts.size), dtype=complex if self.wavelet.is_complex
-                       and self.modulation == 0.0 else float)
+        out = np.zeros((s_pts.size, t_pts.size), dtype=self.dtype)
         for blocks in _cell_factors(self, [s_pts] if t_pts is s_pts else [s_pts, t_pts]):
+            # np.conj copies a real F too: F^T F of one buffer would take SYRK, which rounds apart
             out += blocks[0].T @ np.conj(blocks[-1])
         return out
 

@@ -127,13 +127,14 @@ def load_csv(path) -> EventStream:
 
 
 def save_csv(stream: EventStream, path) -> None:
-    """Write the event file format read by load_csv."""
+    """Write the event file format read by load_csv: rows by time, ties by stream."""
+    times = np.concatenate(stream.events)
+    index = np.repeat(np.arange(1, stream.p + 1), stream.counts())
+    order = np.lexsort((index, times))
     with open(path, "w", newline="") as fh:
         fh.write(f"# p={stream.p} T={float(stream.T)!r}\n")
-        merged = [(float(t), i + 1) for i, seq in enumerate(stream.events) for t in seq]
-        merged.sort()
-        for t, idx in merged:
-            fh.write(f"{idx},{t!r}\n")
+        fh.writelines(f"{i},{t!r}\n" for i, t in zip(index[order].tolist(),
+                                                     map(float, times[order])))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ of the test oracles (tests/oracles.py); the two agree to interpolation accuracy.
 
 cwt, eigen_cwt and smoothed_periodogram_eigen raise RegionError for a support
 outside (0, T]; eigen_transforms checks no point: its callers pass points inside.
+Memory: PAIR_BLOCK bounds a block of pairs, MAX_FIELD_BYTES field()'s Omega, and
+SpectralField.to_csv formats one scale row (n_b p^2 rows) at a time.
 """
 
 from __future__ import annotations
@@ -186,18 +188,19 @@ class SpectralField:
         return self.omega.shape[2]
 
     def to_csv(self, path) -> None:
-        """Long format: a, b, i, j, re, im, coherence, valid (1-based i, j)."""
+        """Long format: a, b, i, j, re, im, coherence, valid (1-based i, j), by scale row."""
         p = self.p
         pairs = [f"{i + 1},{j + 1}" for i in range(p) for j in range(p)]
         b_texts = [repr(b) for b in np.asarray(self.b_grid, dtype=float).tolist()]
-        heads = [f"{a},{b},{ij}" for a in map(repr, np.asarray(self.a_grid, dtype=float).tolist())
-                 for b in b_texts for ij in pairs]
-        values = (map(repr, x.ravel().tolist()) for x in
-                  (self.omega.real, self.omega.imag, np.asarray(self.gamma2, dtype=float)))
-        oks = np.repeat(np.where(self.valid.ravel(), "1", "0"), p * p).tolist()
-        body = "\n".join(map(",".join, zip(heads, *values, oks)))
+        gamma2 = np.asarray(self.gamma2, dtype=float)
         with open(path, "w", newline="") as fh:
-            fh.write("a,b,i,j,re,im,coherence,valid\n" + body + "\n")
+            fh.write("a,b,i,j,re,im,coherence,valid\n")
+            for ia, a in enumerate(map(repr, np.asarray(self.a_grid, dtype=float).tolist())):
+                heads = [f"{a},{b},{ij}" for b in b_texts for ij in pairs]
+                values = (map(repr, x[ia].ravel().tolist())
+                          for x in (self.omega.real, self.omega.imag, gamma2))
+                oks = np.repeat(np.where(self.valid[ia], "1", "0"), p * p).tolist()
+                fh.write("\n".join(map(",".join, zip(heads, *values, oks))) + "\n")
 
     def meta_json(self) -> str:
         return json_text(self.meta)
@@ -224,6 +227,7 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         raise ConfigError(f"omega of an {n_a} x {n_b} grid exceeds {MAX_FIELD_BYTES} bytes")
     if config.a_min is not None and not 0 < config.a_min < math.inf:
         raise ConfigError(f"the scale grid needs a positive, finite a_min (got {config.a_min})")
+    central_frequency = wav.central_frequency  # its 2^18-point FFT before the kernel's blocks
     system = eigensystem(wav, win, config.n_points, config.energy_cutoff)
     region = ValidRegion(wav.alpha, win.kappa, stream.T)
 
@@ -268,7 +272,7 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         "T": stream.T,
         "p": p,
         "dof": system.degrees_of_freedom(),
-        "central_frequency": wav.central_frequency,
+        "central_frequency": central_frequency,
         "energy_cutoff": config.energy_cutoff,
         "n_points": system.kernel.n_points,
         "n_retained": system.n_retained,

@@ -248,11 +248,13 @@ def central_frequency(w: Wavelet) -> float:
     t = np.linspace(-half, half, n)
     vals = w(t)
     dt = t[1] - t[0]
-    spec = np.fft.fft(vals, CENTRAL_FREQUENCY_FFT) * dt
-    freqs = np.fft.fftfreq(CENTRAL_FREQUENCY_FFT, dt)
-    pos = freqs > 0
-    power = np.abs(spec[pos]) ** 2
-    f = freqs[pos]
+    half_n = CENTRAL_FREQUENCY_FFT // 2
+    spec = np.fft.fft(vals, CENTRAL_FREQUENCY_FFT)
+    spec *= dt
+    power = np.abs(spec[1:half_n])  # the positive frequencies k / (n_fft dt), k < n_fft / 2
+    del spec
+    power **= 2
+    f = np.arange(1, half_n) * (1.0 / (CENTRAL_FREQUENCY_FFT * dt))  # as np.fft.fftfreq has them
     mass = np.trapezoid(power, f)
     if mass <= 0:
         raise ValidationError("wavelet has no positive-frequency energy")

@@ -99,3 +99,24 @@ def spline_oracle_transforms(spline_oracle_cwt):
 
     transforms.calls = []
     return transforms
+
+
+@pytest.fixture()
+def traced_peak():
+    """peak(f, *args) -> (f(*args), the most bytes tracemalloc saw allocated during the call)."""
+    import tracemalloc
+
+    def peak(f, *args):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            value = f(*args)
+            return value, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return peak

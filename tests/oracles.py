@@ -7,10 +7,10 @@ from scipy.special import erf
 
 from eventspec import (EigenSystem, EventStream, SmoothedKernel, SmoothingWindow,
                        ValidationError, ValidRegion, Wavelet)
-from eventspec.kernels import DEFAULT_GRID_POINTS, _cell_factors
+from eventspec.kernels import CELL_QUAD_POINTS, DEFAULT_GRID_POINTS, _cell_factors, _gauss_legendre
 from eventspec.quadrature import simpson_rule
 from eventspec.spectra import _require_inside, cwt
-from eventspec.wavelets import QUAD_POINTS
+from eventspec.wavelets import CENTRAL_FREQUENCY_FFT, QUAD_POINTS
 
 
 def kernel_value_morlet_rect(kappa: float, s, t):
@@ -259,3 +259,68 @@ def dof_closed_form(wavelet: Wavelet, kappa: float) -> float:
     p = autocorrelation(wavelet, x)
     energy = float(w @ np.abs(p) ** 2)
     return kappa / energy
+
+
+def central_frequency_full_spectrum(w: Wavelet) -> float:
+    """wavelets.central_frequency with the whole scaled spectrum and np.fft.fftfreq's mask."""
+    half = w.alpha / 2.0
+    n = QUAD_POINTS
+    t = np.linspace(-half, half, n)
+    vals = w(t)
+    dt = t[1] - t[0]
+    spec = np.fft.fft(vals, CENTRAL_FREQUENCY_FFT) * dt
+    freqs = np.fft.fftfreq(CENTRAL_FREQUENCY_FFT, dt)
+    pos = freqs > 0
+    power = np.abs(spec[pos]) ** 2
+    f = freqs[pos]
+    mass = np.trapezoid(power, f)
+    if mass <= 0:
+        raise ValidationError("wavelet has no positive-frequency energy")
+    return float(np.trapezoid(f * power, f) / mass)
+
+
+def field_csv_one_string(result, path) -> None:
+    """SpectralField.to_csv with the whole file built as one string."""
+    p = result.p
+    pairs = [f"{i + 1},{j + 1}" for i in range(p) for j in range(p)]
+    b_texts = [repr(b) for b in np.asarray(result.b_grid, dtype=float).tolist()]
+    heads = [f"{a},{b},{ij}" for a in map(repr, np.asarray(result.a_grid, dtype=float).tolist())
+             for b in b_texts for ij in pairs]
+    values = (map(repr, x.ravel().tolist()) for x in
+              (result.omega.real, result.omega.imag, np.asarray(result.gamma2, dtype=float)))
+    oks = np.repeat(np.where(result.valid.ravel(), "1", "0"), p * p).tolist()
+    body = "\n".join(map(",".join, zip(heads, *values, oks)))
+    with open(path, "w", newline="") as fh:
+        fh.write("a,b,i,j,re,im,coherence,valid\n" + body + "\n")
+
+
+def save_csv_sorted_tuples(stream: EventStream, path) -> None:
+    """pointproc.save_csv by one Python sort of every (time, stream) tuple."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# p={stream.p} T={float(stream.T)!r}\n")
+        merged = [(float(t), i + 1) for i, seq in enumerate(stream.events) for t in seq]
+        merged.sort()
+        for t, idx in merged:
+            fh.write(f"{idx},{t!r}\n")
+
+
+def cell_factors_whole_blocks(kern: SmoothedKernel, point_sets: list):
+    """kernels._cell_factors with each block's F built in one expression, a new array per block."""
+    half, edge = kern.wavelet.alpha / 2.0, kern.window.kappa / 2.0
+    cuts = np.unique(np.clip(np.concatenate([pts + d for pts in point_sets for d in (-half, half)]
+                                            + [[-edge, edge]]), -edge, edge))
+    pieces = np.ceil(np.diff(cuts) / kern.weight).astype(np.intp)
+    offset = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    cuts = np.append(np.repeat(cuts[:-1], pieces)
+                     + offset * np.repeat(np.diff(cuts) / pieces, pieces), edge)
+    frac, wts = _gauss_legendre(CELL_QUAD_POINTS)
+    widest = max(1, max(pts.size for pts in point_sets))
+    step = max(1, (1 << 19) // (CELL_QUAD_POINTS * widest))
+    for start in range(0, cuts.size - 1, step):
+        lo = cuts[start:start + step + 1]
+        width = np.diff(lo)[:, None]
+        u = (lo[:-1, None] + width * frac).ravel()
+        mid = np.repeat(lo[:-1] + width[:, 0] / 2.0, frac.size)[:, None]
+        root = np.sqrt((width * wts).ravel() * kern.window.density(u))[:, None]
+        yield [np.where(np.abs(pts - mid) < half, kern.wavelet.envelope_smooth(pts - u[:, None]),
+                        0.0) * root for pts in point_sets]

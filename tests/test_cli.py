@@ -433,13 +433,15 @@ def test_reproduce_takes_valid_argument_values(tmp_path):
 
 def test_test_size_with_excluded_scales(tmp_path):
     # at these rates every segment periodogram is singular, so every scale is excluded
-    # and has no statistic to test: the KS p-value is null and the draws are nan
+    # and has no statistic to test: the KS p-value, the size and the verdict are null
+    # (the size read 0.0 over replicates that had no p-value) and the draws are nan
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"args": {"rates": [0.001, 0.001], "T": 100.0}}))
     assert run(["reproduce", "test-size", "--replicates", 3, "--config", path,
                 "--out", tmp_path]) == 0
     doc = json.loads((tmp_path / "test-size.json").read_text())
-    assert doc["chi2_ks_p"] == [None, None, None] and doc["rejection_rates"] == [0.0] * 3
+    assert doc["chi2_ks_p"] == doc["rejection_rates"] == [None, None, None]
+    assert doc["passed"] is None
     rows = list(csv.reader(open(tmp_path / "test-size_draws.csv")))[1:]
     assert len(rows) == 9 and {row[2] for row in rows} == {"nan"}
 

@@ -21,6 +21,12 @@ class TestDecomposition:
     def test_trace_rule_sum(self, morlet_sys10):
         assert morlet_sys10.eigenvalues.sum() == pytest.approx(1.0, abs=1e-6)
 
+    def test_in_place_symmetrisation_is_bit_identical(self, morlet, rect10):
+        kern = SmoothedKernel(morlet, rect10, n_points=128)
+        mat = kern.envelope_values
+        eta = np.linalg.eigh(kern.weight * (0.5 * (mat + np.conj(mat.T))))[0]
+        assert np.array_equal(np.clip(eta[::-1], 0.0, None), nystrom_decompose(kern).eigenvalues)
+
     def test_rank_one_kernel(self, morlet):
         kern = rank_one_kernel(morlet)
         env = morlet.envelope(kern.grid)  # one cell of the cell rule: exactly r(s) r(t)
@@ -177,6 +183,12 @@ class TestEigensystemCache:
         systems = [eigensystem(morlet, w, 64) for w in windows]
         assert systems[0] is not systems[1] and len(builds) == 2
         assert eigensystem(morlet, windows[0], 64) is systems[0]
+
+    def test_cached_system_owns_only_retained_vectors(self):
+        # a view of the first L columns had kept the whole n_points^2 eigenvector matrix
+        system = eigensystem_cached("morlet", 10.0)
+        assert system.vectors.base is None
+        assert system.vectors.size == system.kernel.n_points * system.n_retained
 
 
 @pytest.fixture(scope="module", params=["morlet", "mexhat", "tabulated-complex"])

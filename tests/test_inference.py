@@ -383,3 +383,28 @@ class TestNullStatisticDistribution:
                "itself stays within the criterion-9 band.")
     def test_chi2_ks_middle_scale_criterion9_design(self, criterion9_study):
         assert criterion9_study["chi2_ks_p"][1] > 0.01
+
+
+def test_rejection_rate_counts_only_defined_p_values():
+    # rates 0.2 on T = 100 leave j = 3 singular in some replicates, not all: its size is
+    # the share of rejections among the replicates with a p-value (it was over all of them)
+    from eventspec.studies import _lrt_replicates
+    config = StationarityConfig(kappa=6.0, c=0.25, J=3)
+    _, pvals, rates, _ = _lrt_replicates(
+        lambda sq: simulate_poisson([0.2, 0.2], 100.0, seed=sq), config, 8, 3, 0.05)
+    defined = ~np.isnan(pvals)
+    assert 0 < defined[:, 2].sum() < 8
+    assert rates == [float(np.mean(pvals[defined[:, j], j] < 0.05)) for j in range(3)]
+
+
+def test_piecewise_verdict_is_null_without_a_rate(monkeypatch):
+    from types import SimpleNamespace
+
+    from eventspec import studies
+    first = SimpleNamespace(meta={"dof_n": 10.0})
+    for rates, passed in (([0.6, 0.2, 0.1], True), ([0.6, 0.2, None], None),
+                          ([None, 0.2, 0.1], None)):
+        monkeypatch.setattr(studies, "_lrt_replicates",
+                            lambda *args: (None, np.zeros((1, 3)), rates, first))
+        out = studies.run_piecewise_detection(replicates=1)
+        assert out["rejection_rates"] == rates and out["passed"] is passed

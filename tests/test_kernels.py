@@ -6,8 +6,9 @@ from eventspec import (EventStream, SmoothedKernel, SmoothingWindow, ValidRegion
                        ValidationError, Wavelet, kernel_value, nystrom_decompose)
 from eventspec import kernels
 from eventspec.quadrature import simpson_rule
-from oracles import (eigen_wavelet_value, full_kernel_matrix, kernel_value_morlet_rect,
-                     scaled_kernel_value, smoothed_periodogram_direct, value_matrix)
+from oracles import (cell_factors_whole_blocks, eigen_wavelet_value, full_kernel_matrix,
+                     kernel_value_morlet_rect, scaled_kernel_value, smoothed_periodogram_direct,
+                     value_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,32 @@ class TestGridMatrix:
         for n in (kernels.MAX_GRID_POINTS + 1, 10**12, 15):
             with pytest.raises(ValidationError):
                 SmoothedKernel(morlet, rect10, n_points=n)
+
+    def test_rows_filled_in_chunks_match_whole_blocks(self, morlet):
+        # the same cell blocks, each F built in one expression: the same bits
+        t = np.linspace(-3.0, 3.0, 97)
+        for wavelet in (morlet, Wavelet.tabulated(t, np.exp(-t**2) * np.exp(3j * t))):
+            kern = SmoothedKernel(wavelet, SmoothingWindow.rectangular(6.0), n_points=128)
+            ref = sum(f[0].T @ np.conj(f[0]) for f in cell_factors_whole_blocks(kern, [kern.grid]))
+            assert ref.tobytes() == kern.envelope_values.tobytes()
+            s, u = np.array([0.1, 0.37, 2.0]), np.array([-1.3, 0.2])
+            ref = sum(f[0].T @ np.conj(f[1]) for f in cell_factors_whole_blocks(kern, [s, u]))
+            assert ref.tobytes() == kern._cell_sum(s, u).tobytes()
+
+    def test_blocks_are_read_only_views_of_one_buffer(self, morlet, rect10):
+        # a consumer uses each block before asking for the next; one that keeps blocks
+        # keeps views of a buffer the next blocks refill, and cannot write into them
+        kern = SmoothedKernel(morlet, rect10, n_points=16)
+        kept = [f[0] for f in kernels._cell_factors(kern, [np.linspace(-5.0, 5.0, 1000)])]
+        assert len(kept) > 1 and all(np.shares_memory(kept[0], f) for f in kept)
+        with pytest.raises(ValueError):
+            kept[0][0, 0] = 0.0
+
+    def test_build_traced_peak(self, morlet, rect10, traced_peak):
+        # one reused 4 MB block buffer filled a few rows at a time; eight block-sized
+        # temporaries at once had held 28.2 MiB for this 2 MiB matrix
+        _, peak = traced_peak(SmoothedKernel, morlet, rect10, 512)
+        assert peak <= 16 * 2**20
 
 
 class TestValueMatrix:

@@ -11,7 +11,7 @@ from eventspec import (EventStream, HawkesParams, ParseError,
                        ValidationError, Wavelet,
                        coherence_theoretical, hawkes_spectrum, load_csv,
                        save_csv, simulate_hawkes, simulate_piecewise, simulate_poisson)
-from oracles import poisson_spectrum
+from oracles import poisson_spectrum, save_csv_sorted_tuples
 
 UNIVARIATE = dict(nu=1.0, alpha=0.5, beta=1.0)
 BIVARIATE = dict(nu=[1.0, 1.0], alpha=[[0.5, 0.4], [0.4, 0.5]],
@@ -71,6 +71,19 @@ class TestCsv:
         save_csv(stream, p1)
         save_csv(load_csv(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_sorted_blocks_match_tuple_sort(self, tmp_path, traced_peak):
+        # 200,000 events over four streams, a thousand times shared by all of them: rows
+        # by time and ties by stream, as one sort of (time, stream) tuples wrote them
+        rng = np.random.default_rng(5)
+        shared = rng.uniform(0.0, 1000.0, 1000)
+        stream = EventStream([np.unique(np.concatenate([rng.uniform(0.0, 1000.0, 49_000), shared]))
+                              for _ in range(4)], 1000.0)
+        assert stream.counts().sum() == 200_000
+        _, peak = traced_peak(save_csv, stream, tmp_path / "blocks.csv")
+        assert peak <= 10 * 2**20  # the tuple sort held 17.6 MiB
+        save_csv_sorted_tuples(stream, tmp_path / "tuples.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), p=st.integers(1, 4), T=st.floats(1e-300, 1e300))

@@ -15,8 +15,8 @@ from eventspec import (ConfigError, EventStream, FieldConfig, NumericalError,
                        smoothed_periodogram_eigen)
 from eventspec import spectra
 from eventspec.studies import piecewise_segments
-from oracles import (eigen_transforms_per_point, normalize_coords, periodogram,
-                     rank_one_kernel, smoothed_periodogram_direct, value_matrix)
+from oracles import (eigen_transforms_per_point, field_csv_one_string, normalize_coords,
+                     periodogram, rank_one_kernel, smoothed_periodogram_direct, value_matrix)
 
 
 def empty_stream(p=2, T=100.0):
@@ -423,6 +423,22 @@ class TestField:
         result.to_csv(tmp_path / "fast.csv")
         self.row_by_row_csv(result, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_csv_written_by_scale_row(self, tmp_path, traced_peak):
+        # p = 8 on 32 x 128 (22 MB of text): the same bytes as the one-string writer,
+        # which held 114.7 MiB at its peak; NaN marks the invalid points
+        rng = np.random.default_rng(16)
+        shape = (32, 128, 8, 8)
+        valid = rng.random(shape[:2]) < 0.7
+        omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gamma2 = rng.random(shape)
+        omega[~valid], gamma2[~valid] = np.nan, np.nan
+        result = spectra.SpectralField(np.geomspace(0.1, 20.0, 32), np.linspace(1.0, 459.0, 128),
+                                       omega, gamma2, valid, {})
+        _, peak = traced_peak(result.to_csv, tmp_path / "field.csv")
+        assert peak <= 8 * 2**20
+        field_csv_one_string(result, tmp_path / "oracle.csv")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_piecewise_coherence_concentrates_in_coupled_window(self):
         # single realization of the piecewise design: the share of

@@ -6,7 +6,7 @@ import pytest
 from eventspec import ConfigError, ParseError, ValidationError, Wavelet, central_frequency
 from eventspec.studies import run_qq_cwt
 from eventspec.quadrature import simpson_rule
-from oracles import ScaledWavelet, autocorrelation
+from oracles import ScaledWavelet, autocorrelation, central_frequency_full_spectrum
 
 
 def quad_weights(alpha, n=4097):
@@ -79,6 +79,17 @@ class TestCentralFrequency:
         tab = Wavelet.tabulated(x, morlet(x))
         assert central_frequency(tab) == pytest.approx(
             morlet.central_frequency, abs=1e-6)
+
+    def test_matches_full_spectrum_oracle(self, morlet, mexhat):
+        x = np.linspace(-4, 4, 4096)
+        for w in (morlet, mexhat, Wavelet.tabulated(x, morlet(x)), Wavelet.morlet(6.0)):
+            assert central_frequency(w) == central_frequency_full_spectrum(w)  # bit for bit
+
+    def test_traced_peak(self, traced_peak):
+        # the 2^18-point spectrum is scaled in place and its positive half read through a
+        # view; the whole-spectrum routine held 11.5 MiB
+        _, peak = traced_peak(central_frequency, Wavelet.morlet(7.5))
+        assert peak <= 8 * 2**20
 
 
 class TestAutocorrelation:
