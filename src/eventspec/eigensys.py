@@ -110,6 +110,7 @@ class EigenSystem:
         padded[half] = padded[n * m - half] = 0.5 * spec[half]
         padded *= (6.0 * m / (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n * m))))[:, None]
         coef = np.fft.ifft(padded, axis=0)
+        del padded  # before the wrap copy below: two table-sized arrays at once, not three
         if not np.iscomplexobj(self.vectors):
             coef = coef.real
         if not np.all(np.isfinite(coef)):
@@ -198,8 +199,10 @@ def nystrom_decompose(kernel: SmoothedKernel,
     mat = kernel.envelope_values
     # w (mat + mat^H) / 2 in one buffer, in place: the sums and products of the out-of-place form
     sym = np.conj(mat.T)
-    asym = np.max(np.abs(mat - sym))
-    scale = max(np.max(np.abs(mat)), 1.0)
+    # max|K - K^H| and max|K| over blocks of 64 rows, so no n_points^2 temporary
+    rows = [slice(i, i + 64) for i in range(0, len(mat), 64)]
+    asym = np.max([np.max(np.abs(mat[r] - sym[r])) for r in rows])
+    scale = max(np.max([np.max(np.abs(mat[r])) for r in rows]), 1.0)
     if asym > 1e-10 * scale:
         raise NumericalError(f"sampled kernel is not Hermitian (asymmetry {asym:.3e})")
     sym += mat

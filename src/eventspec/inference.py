@@ -8,7 +8,9 @@ wavelet fixes which (Flavor.of), so no config chooses it. The stationarity
 test partitions the time-scale plane dyadically and compares segment
 periodograms with a covariance-equality likelihood ratio whose -2 log
 Lambda_j is asymptotically chi-squared with (2^j - 1) p^2 degrees of freedom
-per scale.
+per scale. stationarity_tests takes a batch of streams through one transform
+call and one batched-Cholesky LRT call per scale; stationarity_test is its
+one-stream case.
 """
 
 from __future__ import annotations
@@ -170,23 +172,24 @@ def chi2_sf(x: float, dof: float) -> float:
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 
-def _logdet_psd(mat: np.ndarray, segment: int) -> float:
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise DegenerateSegmentError(
-            segment, f"segment {segment} matrix is not positive definite") from None
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+def _logdets(mats: np.ndarray) -> np.ndarray:
+    # log det of each matrix of a (..., p, p) stack, by one batched Cholesky
+    chol = np.linalg.cholesky(mats)
+    return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 
-def lrt_statistic(samples, n: float, flavor: Flavor = Flavor.COMPLEX) -> float:
+def lrt_statistic(samples, n: float, flavor: Flavor = Flavor.COMPLEX):
     """-2 log Lambda for equality of K scaled-Wishart centrality matrices.
 
     Lambda = K^{pKe} prod det(B_i)^e / det(sum B_i)^{Ke} with exponent
     e = n for the complex-wavelet flavor and e = n/2 for the real one. The
-    computation stays in the log domain throughout.
+    computation stays in the log domain throughout. samples is K p x p matrices, for
+    a float, or an (R, K, p, p) stack, for the R one-replicate values bit for bit in
+    an array: one batched Cholesky takes every log-determinant (each replicate's K
+    summed left to right), and a refused one raises the first replicate's error.
     """
-    mats = [np.asarray(m) for m in samples]
+    stacked = isinstance(samples, np.ndarray) and samples.ndim == 4
+    mats = [np.asarray(m) for m in (samples[0] if stacked else samples)]
     K = len(mats)
     if K < 2:
         raise ValidationError("lrt_statistic needs at least two segments")
@@ -194,11 +197,23 @@ def lrt_statistic(samples, n: float, flavor: Flavor = Flavor.COMPLEX) -> float:
     for k, m in enumerate(mats, start=1):
         if m.shape != (p, p):
             raise ValidationError(f"segment {k}: expected {p}x{p} matrix")
+    # contiguous, as a strided stack can sum the B_i in another order
+    mats = np.ascontiguousarray(samples) if stacked else np.array(mats)[None]
     expo = n if flavor is Flavor.COMPLEX else n / 2.0
-    logdets = [_logdet_psd(m, k) for k, m in enumerate(mats, start=1)]
-    log_total = _logdet_psd(np.sum(mats, axis=0), 0)
-    log_lambda = expo * (p * K * math.log(K) + sum(logdets) - K * log_total)
-    return max(-2.0 * log_lambda, 0.0)
+    try:
+        logdets, log_total = _logdets(mats), _logdets(mats.sum(axis=1))
+    except np.linalg.LinAlgError:  # name the first replicate's first refused segment, sum last
+        for m in mats:
+            for k, b in [*enumerate(m, start=1), (0, m.sum(axis=0))]:
+                try:
+                    np.linalg.cholesky(b)
+                except np.linalg.LinAlgError:
+                    raise DegenerateSegmentError(
+                        k, f"segment {k} matrix is not positive definite") from None
+        raise
+    log_lambda = expo * (p * K * math.log(K) + sum(logdets.T) - K * log_total)
+    stats = np.maximum(-2.0 * log_lambda, 0.0)
+    return stats if stacked else float(stats[0])
 
 
 @dataclass
@@ -296,48 +311,69 @@ def stationarity_test(stream: EventStream,
     periodogram are reported as NA and excluded from the combined
     statistic, whose degrees of freedom are adjusted accordingly.
     """
+    return stationarity_tests([stream], config)[0]
+
+
+def stationarity_tests(streams, config: StationarityConfig | None = None
+                       ) -> list[StationarityReport]:
+    """stationarity_test of each stream; the streams share T and p (else ValidationError).
+
+    Per scale: one eigen_transforms call over every stream and one lrt_statistic call
+    over their (R, K, p, p) stack, retried a stream at a time if its Cholesky refuses,
+    so each stream gets its own note. Statistics match one-stream calls to rounding.
+    """
     config = config or StationarityConfig()
     config.validate()
-    system = config.resolve_system(stream.T)
+    streams = list(streams)
+    if not streams or any(s.T != streams[0].T or s.p != streams[0].p for s in streams):
+        raise ValidationError("stationarity_tests needs streams, all of one horizon T and one p")
+    T, p, R = streams[0].T, streams[0].p, len(streams)
+    merged = EventStream([e for s in streams for e in s.events], T)
+    system = config.resolve_system(T)
     wav = system.kernel.wavelet
     flavor = Flavor.of(wav)
     width = system.kernel.width
     n_dof = system.degrees_of_freedom()
-    p = stream.p
-    T = stream.T
 
-    scales: list[ScaleResult] = []
+    scales: list[list[ScaleResult]] = [[] for _ in streams]
     for j in range(1, config.J + 1):
         K = 2**j
         a_j = T / (K * width)
         dof_j = (K - 1) * p**2
         centres = (2 * np.arange(1, K + 1) - 1) * T / (2 * K)
+        v = eigen_transforms(merged, system, a_j, centres).reshape(K, R, p, -1)
+        omega = eigen_expansion(v, system.retained_eigenvalues).swapaxes(0, 1)
         try:
-            v = eigen_transforms(stream, system, a_j, centres)
-            stat = lrt_statistic(eigen_expansion(v, system.retained_eigenvalues), n_dof, flavor)
-            pval = chi2_sf(stat, dof_j)
-            scales.append(ScaleResult(j, K, stat, dof_j, pval, True))
-        except DegenerateSegmentError as exc:
-            scales.append(ScaleResult(j, K, None, dof_j, None, False, str(exc)))
+            stats = lrt_statistic(omega, n_dof, flavor).tolist()
+        except DegenerateSegmentError:  # one stream at a time, each with its own note
+            stats = [None] * R
+        for r, stat in enumerate(stats):
+            try:
+                if stat is None:
+                    stat = lrt_statistic(omega[r], n_dof, flavor)
+                scales[r].append(ScaleResult(j, K, stat, dof_j, chi2_sf(stat, dof_j), True))
+            except DegenerateSegmentError as exc:
+                scales[r].append(ScaleResult(j, K, None, dof_j, None, False, str(exc)))
 
-    valid = [s for s in scales if s.valid]
-    if valid:
-        comb_stat = sum(s.statistic for s in valid)
-        comb_dof = sum(s.dof for s in valid)
-        comb_p = chi2_sf(comb_stat, comb_dof)
-    else:
-        comb_stat, comb_dof, comb_p = None, 0.0, None
-
-    kappa_tilde = system.kernel.window.kappa
-    meta = {
-        "T": T, "p": p, "J": config.J,
-        "wavelet": wav.label, "alpha": wav.alpha,
-        "kappa": config.kappa, "c": config.c, "kappa_tilde": kappa_tilde,
-        "dof_n": n_dof, "flavor": flavor.value,
-        "n_retained": system.n_retained,
-        "excluded_scales": [s.j for s in scales if not s.valid],
-        "caveats": ["cross-scale independence of the per-scale statistics is "
-                    "only approximate for wavelets without strict dyadic "
-                    "orthogonality (e.g. Morlet)"],
-    }
-    return StationarityReport(scales, comb_stat, comb_dof, comb_p, meta)
+    reports = []
+    for rows in scales:
+        valid = [s for s in rows if s.valid]
+        if valid:
+            comb_stat = sum(s.statistic for s in valid)
+            comb_dof = sum(s.dof for s in valid)
+            comb_p = chi2_sf(comb_stat, comb_dof)
+        else:
+            comb_stat, comb_dof, comb_p = None, 0.0, None
+        meta = {
+            "T": T, "p": p, "J": config.J,
+            "wavelet": wav.label, "alpha": wav.alpha,
+            "kappa": config.kappa, "c": config.c, "kappa_tilde": system.kernel.window.kappa,
+            "dof_n": n_dof, "flavor": flavor.value,
+            "n_retained": system.n_retained,
+            "excluded_scales": [s.j for s in rows if not s.valid],
+            "caveats": ["cross-scale independence of the per-scale statistics is "
+                        "only approximate for wavelets without strict dyadic "
+                        "orthogonality (e.g. Morlet)"],
+        }
+        reports.append(StationarityReport(rows, comb_stat, comb_dof, comb_p, meta))
+    return reports

@@ -3,7 +3,7 @@
 The temporally smoothed wavelet periodogram Omega(a, b) is the multi-wavelet
 expansion sum_l eta_l v_l v_l^H (eigen_expansion) of the transforms v_l under
 the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a translation
-grid; field() and stationarity_test call it once per scale, and eigen_cwt is its
+grid; field() and stationarity_tests call it once per scale, and eigen_cwt is its
 one-point case. It sums the 8 weights of each of a scale's (point, event) pairs onto a
 coefficient grid per (point, stream) run, and one matrix product per block of runs meets
 the whole coefficient table, so the L-wide work does not grow with the pairs.

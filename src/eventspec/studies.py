@@ -7,9 +7,12 @@ so tests can pin the documented defaults.
 
 Every study draws its replicates through one loop, _replicates, whose seeds
 come from the master seed by a counter scheme (SeedSequence spawn keys), so
-results do not depend on execution order. Statistics, chi-squared dof and
-null laws come from the library. The LRT studies write NaN for a scale the
-test excluded; test-size's chi2_ks_p is None for a scale with no statistic.
+results do not depend on execution order, in batches of at most BATCH_EVENTS
+events (a lone replicate may hold more): the LRT studies test a batch with one
+stationarity_tests call, the others map their statistic over it. Statistics,
+chi-squared dof and null laws come from the library. The LRT studies write NaN
+for a scale the test excluded; test-size's chi2_ks_p is None for a scale with
+no statistic.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ import numpy as np
 from .eigensys import EigenSystem, eigensystem_cached
 from .errors import ConfigError, json_text
 from .inference import (CoherenceDistribution, Flavor, StationarityConfig,
-                        null_percentile, stationarity_test)
+                        null_percentile, stationarity_tests)
 from .kernels import ValidRegion
 from .pointproc import (HawkesParams, coherence_theoretical, hawkes_spectrum,
                         simulate_hawkes, simulate_piecewise, simulate_poisson)
 from .spectra import coherence, cwt, denormalize_coords, smoothed_periodogram_eigen
 from .wavelets import Wavelet
+
+BATCH_EVENTS = 1 << 16  # events of the replicates one statistic call takes at most
 
 # Simulation designs used throughout the validation studies.
 UNIVARIATE_HAWKES = dict(nu=1.0, alpha=0.5, beta=1.0)
@@ -57,8 +62,19 @@ def _replicate_seed(master: int, index: int) -> np.random.SeedSequence:
 
 
 def _replicates(make_stream, statistic, replicates: int, seed: int) -> list:
-    """statistic(make_stream(seed sequence r)) for each replicate r: every study's loop."""
-    return [statistic(make_stream(_replicate_seed(seed, r))) for r in range(replicates)]
+    """statistic(batch), a list of streams to a list of values, over batches of
+    make_stream(seed sequence r), r in order: every study's loop. A batch takes streams
+    until the next would bring it past BATCH_EVENTS events; only a lone one holds more."""
+    values, batch, events = [], [], 0
+    for r in range(replicates):
+        stream = make_stream(_replicate_seed(seed, r))
+        count = int(stream.counts().sum())
+        if batch and events + count > BATCH_EVENTS:
+            values += statistic(batch)
+            batch, events = [], 0
+        batch.append(stream)
+        events += count
+    return values + statistic(batch) if batch else values
 
 
 def qq_correlation(sample: np.ndarray) -> float:
@@ -93,7 +109,8 @@ def run_qq_cwt(wavelet_kind: str = "morlet", process: str = "poisson",
             make = lambda sq: simulate_hawkes(par, T, seed=sq)
         else:
             raise ConfigError(f"unknown process {process!r}")
-        w = np.array(_replicates(make, lambda s: cwt(s, wav, a, T / 2.0)[0], replicates, seed))
+        w = np.array(_replicates(make, lambda batch: [cwt(s, wav, a, T / 2.0)[0] for s in batch],
+                                 replicates, seed))
         # real and imaginary parts scaled apart: a complex / real division can move the last bit
         scale = math.sqrt(sigma2 / 2.0 if wav.is_complex else sigma2)
         re_part, im_part = w.real / scale, w.imag / scale
@@ -128,7 +145,8 @@ def _coherence_draws(system: EigenSystem, make_stream, T: float,
         raise ConfigError(f"(a_tilde={a_tilde}, b_tilde={b_tilde}) falls outside "
                           f"the valid triangle at T={T}")
     return np.array(_replicates(
-        make_stream, lambda s: coherence(smoothed_periodogram_eigen(s, system, a, b), 0, 1),
+        make_stream,
+        lambda batch: [coherence(smoothed_periodogram_eigen(s, system, a, b), 0, 1) for s in batch],
         replicates, seed), dtype=float)
 
 
@@ -199,11 +217,11 @@ def run_null_percentile(wavelet_kind: str = "morlet", kappa: float = 10.0,
 
 def _lrt_replicates(make_stream, config: StationarityConfig, replicates: int,
                     seed: int, level: float):
-    """stationarity_test on each replicate: statistics and p-values as (replicates, J)
+    """stationarity_tests on each batch of replicates: statistics and p-values as (replicates, J)
     arrays, NaN at an excluded scale, the rejection rate at level per scale over the
     replicates that did not exclude it (None where all did), and the first report,
     whose per-scale chi-squared dof and meta hold for every replicate."""
-    reports = _replicates(make_stream, lambda s: stationarity_test(s, config),
+    reports = _replicates(make_stream, lambda batch: stationarity_tests(batch, config),
                           replicates, seed)
     # a float array holds None as NaN
     stats = np.array([[s.statistic for s in r.scales] for r in reports], dtype=float)

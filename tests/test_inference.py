@@ -13,6 +13,7 @@ from eventspec import (CoherenceDistribution, ConfigError,
                        StationarityConfig, ValidationError, chi2_sf,
                        hyp2f1, lrt_statistic,
                        null_percentile, simulate_poisson, stationarity_test)
+from eventspec.inference import stationarity_tests
 
 
 def hyp2f1_exact(a1: Fraction, a2: Fraction, b1: Fraction, z: Fraction,
@@ -214,6 +215,28 @@ class TestLrtStatistic:
         assert lrt_statistic([c @ m @ c.conj().T for m in mats], n, flavor) == \
             pytest.approx(stat, **tol)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(R=st.integers(1, 6), p=st.integers(1, 4), K=st.integers(2, 8), n=st.floats(2.0, 50.0),
+           flavor=st.sampled_from(list(Flavor)), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_one_call_per_replicate(self, R, p, K, n, flavor, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(R, K, p, p + 2))
+        if flavor is Flavor.COMPLEX:
+            g = g + 1j * rng.normal(size=g.shape)
+        stack = g @ np.conj(np.swapaxes(g, -1, -2)) / (p + 2)
+        stats = lrt_statistic(stack, n, flavor)
+        assert stats.shape == (R,)
+        assert stats.tolist() == [lrt_statistic(mats, n, flavor) for mats in stack]
+        # one singular member: the stack raises what its replicate's own call raises
+        r, k = rng.integers(R), rng.integers(K)
+        stack[r, k] = 0.0
+        with pytest.raises(DegenerateSegmentError) as alone:
+            lrt_statistic(stack[r], n, flavor)
+        with pytest.raises(DegenerateSegmentError) as batched:
+            lrt_statistic(stack, n, flavor)
+        assert batched.value.segment == alone.value.segment == k + 1
+        assert str(batched.value) == str(alone.value)
+
 
 class TestStationarityTest:
     def test_report_structure(self):
@@ -395,6 +418,77 @@ def test_rejection_rate_counts_only_defined_p_values():
     defined = ~np.isnan(pvals)
     assert 0 < defined[:, 2].sum() < 8
     assert rates == [float(np.mean(pvals[defined[:, j], j] < 0.05)) for j in range(3)]
+
+
+class TestBatchedStationarityTests:
+    """stationarity_tests over batches of 1 to 3 replicates of the rates-0.2, T = 100
+    design, where some replicates exclude j = 3, against one-at-a-time calls."""
+
+    CONFIG = StationarityConfig(kappa=6.0, c=0.25, J=3)
+
+    @staticmethod
+    def make(sq):
+        return simulate_poisson([0.2, 0.2], 100.0, seed=sq)
+
+    @pytest.fixture()
+    def studies(self, monkeypatch):
+        from eventspec import studies
+        monkeypatch.setattr(studies, "BATCH_EVENTS", 105)  # a replicate holds 31 to 52 events
+        return studies
+
+    def test_batches_match_one_at_a_time(self, studies):
+        batches = []
+
+        def statistic(batch):
+            reports = stationarity_tests(batch, self.CONFIG)
+            batches.append([r.meta["excluded_scales"] for r in reports])
+            return list(zip(batch, reports))
+
+        results = studies._replicates(self.make, statistic, 30, 3)
+        assert sorted({len(b) for b in batches}) == [1, 2, 3]
+        # j = 3 is excluded in some replicates, and shares a batch with one that keeps it
+        assert any([3] in b and [] in b for b in batches)
+        for stream, report in results:
+            alone = stationarity_test(stream, self.CONFIG)
+            got = [s.statistic for s in report.scales] + [report.combined_statistic]
+            ref = [s.statistic for s in alone.scales] + [alone.combined_statistic]
+            assert [v is None for v in got] == [v is None for v in ref]
+            assert np.allclose([v for v in got if v is not None], [v for v in ref if v is not None],
+                               rtol=1e-13, atol=0.0)
+            # a p-value is chi2_sf of its statistic, so it moves only where the statistic does
+            assert [(s.valid, s.note) for s in report.scales] == \
+                [(s.valid, s.note) for s in alone.scales]
+            for s, one in zip(report.scales, alone.scales):
+                if s.valid:
+                    assert s.p_value == chi2_sf(s.statistic, s.dof)
+                    assert s.p_value == one.p_value or s.statistic != one.statistic
+            assert report.meta == alone.meta
+
+    @pytest.mark.parametrize("budget", [40, 105])
+    def test_only_a_lone_replicate_exceeds_the_budget(self, studies, budget):
+        studies.BATCH_EVENTS = budget
+        batches = []
+        values = studies._replicates(
+            self.make, lambda batch: batches.append([int(s.counts().sum()) for s in batch])
+            or list(range(len(batch))), 30, 3)
+        assert len(values) == 30 and sum(map(len, batches)) == 30
+        assert all(len(b) == 1 or sum(b) <= budget for b in batches)
+        # at 40 every pair is over the budget and some replicates are too, each alone
+        assert any(sum(b) > budget for b in batches) == (budget == 40)
+
+    def test_statistics_do_not_depend_on_the_replicate_count(self, studies):
+        short = studies._lrt_replicates(self.make, self.CONFIG, 3, 3, 0.05)[0]
+        long = studies._lrt_replicates(self.make, self.CONFIG, 30, 3, 0.05)[0]
+        np.testing.assert_allclose(long[:3], short, rtol=1e-13, atol=0.0)
+
+    def test_mixed_horizon_or_dimension_refused(self):
+        stream = simulate_poisson([1.0, 1.0], 100.0, seed=1)
+        for other in (simulate_poisson([1.0, 1.0], 200.0, seed=2),
+                      simulate_poisson([1.0], 100.0, seed=2)):
+            with pytest.raises(ValidationError):
+                stationarity_tests([stream, other], self.CONFIG)
+        with pytest.raises(ValidationError):
+            stationarity_tests([], self.CONFIG)
 
 
 def test_piecewise_verdict_is_null_without_a_rate(monkeypatch):
