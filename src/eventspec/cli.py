@@ -147,7 +147,7 @@ def cmd_eigs(args) -> int:
     system = eigensystem(wavelet, SmoothingWindow.rectangular(args.kappa),
                          energy_cutoff=args.energy_cutoff, **_given(args, "n_points"))
     meta = {"wavelet": wavelet.label, "alpha": wavelet.alpha, "kappa": args.kappa,
-            "n_points": system.kernel.n_points, "energy_cutoff": args.energy_cutoff,
+            "n_points": system.n_points, "energy_cutoff": args.energy_cutoff,
             "n_retained": system.n_retained,
             "dof": system.degrees_of_freedom(), "diagnostics": system.diagnostics}
     text = json_text(meta)
@@ -176,8 +176,10 @@ def cmd_eigs(args) -> int:
 
 def cmd_field(args) -> int:
     """periodogram and coherence: one field sweep; coherence adds the null percentile."""
-    stream = load_csv(args.events)
     want_coherence = args.command == "coherence"
+    if want_coherence and not 0.0 < args.percentile < 1.0:  # NaN too; before any input is read
+        raise ConfigError(f"percentile must lie in (0, 1), got {args.percentile}")
+    stream = load_csv(args.events)
     if want_coherence and stream.p < 2:
         raise DataError("coherence requires at least two component streams")
     wavelet = Wavelet.named(args.wavelet, **_given(args, "alpha"))

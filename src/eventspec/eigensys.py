@@ -5,10 +5,11 @@ uniform midpoint grid with equal weights w = (alpha + kappa)/n, giving the
 matrix problem (w K) phi = eta phi. Because the weights are uniform the
 weighted problem is already Hermitian, eigenvalues are real and the
 eigenvectors are orthonormal under the weighted inner product once scaled
-by w^(-1/2). The solve symmetrises and weights one copy of K in place, and
-a system owns only its L retained eigenvector columns, not all n_points. A
-system whose eigenvalue sum is zero or not finite, or whose degrees of
-freedom are not finite, raises NumericalError where it is built.
+by w^(-1/2). The solve symmetrises and weights one copy of K in place. A system is
+a value: it keeps the kernel's settings and grid, its L retained eigenvector columns
+(not all n_points) and its table, never the n_points^2 kernel matrix. One whose
+eigenvalue sum is zero or not finite, or whose degrees of freedom are not finite,
+raises NumericalError where it is built.
 
 Eigen-wavelet envelopes are kept as (n_knots + 2, L) cubic B-spline coefficients of
 the periodic cubic spline through their 8x FFT refinement. One FFT pass builds them: the
@@ -52,6 +53,8 @@ class EigenSystem:
 
     Attributes
     ----------
+    wavelet, window, width, n_points, grid, weight, modulation
+        Those of the kernel it was solved from, which it does not keep.
     eigenvalues : ndarray
         All grid eigenvalues, descending, negatives clamped to zero.
     n_retained : int
@@ -69,9 +72,8 @@ class EigenSystem:
 
     def __init__(self, kernel: SmoothedKernel, eigenvalues: np.ndarray,
                  vectors: np.ndarray, energy_cutoff: float, asymmetry: float):
-        self.kernel = kernel
-        self.grid = kernel.grid
-        self.weight = kernel.weight
+        self.wavelet, self.window, self.width = kernel.wavelet, kernel.window, kernel.width
+        self.n_points, self.grid, self.weight = kernel.n_points, kernel.grid, kernel.weight
         self.modulation = kernel.modulation
         self.eigenvalues = eigenvalues
         self.energy_cutoff = energy_cutoff
@@ -98,7 +100,7 @@ class EigenSystem:
         # the cubic B-spline symbol (4 + 2 cos w)/6 gives the periodic cubic spline through
         # the refined samples, free of the phase-scale resolution loss of the raw grid.
         (n, n_ret), m = self.vectors.shape, self.UPSAMPLE
-        nbytes, kappa = 16 * n * m * n_ret, self.kernel.window.kappa
+        nbytes, kappa = 16 * n * m * n_ret, self.window.kappa
         if nbytes > MAX_TABLE_BYTES:
             raise ConfigError(f"the eigen-wavelet table at n_points={n}, kappa={kappa:g} needs "
                               f"{nbytes} bytes, above {MAX_TABLE_BYTES}")
@@ -138,7 +140,7 @@ class EigenSystem:
         # support mask; for the n points inside, the index of each one's first of 4
         # coefficient rows and the re and im (2, 4, n) of weights e^{i 2 pi f x} B_k(t).
         x = np.asarray(x, dtype=float)
-        inside = np.abs(x) < self.kernel.width / 2.0
+        inside = np.abs(x) < self.width / 2.0
         x = x[inside]
         first = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
         np.clip(first, 0, len(self.coefficients) - 4, out=first)
@@ -180,7 +182,8 @@ class EigenSystem:
         return sums[:, 0] + 1j * sums[:, 1]
 
     def __repr__(self) -> str:
-        return (f"EigenSystem({self.kernel!r}, retained={self.n_retained}, "
+        return (f"EigenSystem({self.wavelet.label}, {self.window.kind.value}, "
+                f"kappa={self.window.kappa}, n={self.n_points}, retained={self.n_retained}, "
                 f"dof={self.degrees_of_freedom():.3f})")
 
 

@@ -328,11 +328,11 @@ def stationarity_tests(streams, config: StationarityConfig | None = None
     if not streams or any(s.T != streams[0].T or s.p != streams[0].p for s in streams):
         raise ValidationError("stationarity_tests needs streams, all of one horizon T and one p")
     T, p, R = streams[0].T, streams[0].p, len(streams)
-    merged = EventStream([e for s in streams for e in s.events], T)
+    events = [e for s in streams for e in s.events]  # replicate-major, as reshaped below
     system = config.resolve_system(T)
-    wav = system.kernel.wavelet
+    wav = system.wavelet
     flavor = Flavor.of(wav)
-    width = system.kernel.width
+    width = system.width
     n_dof = system.degrees_of_freedom()
 
     scales: list[list[ScaleResult]] = [[] for _ in streams]
@@ -341,7 +341,7 @@ def stationarity_tests(streams, config: StationarityConfig | None = None
         a_j = T / (K * width)
         dof_j = (K - 1) * p**2
         centres = (2 * np.arange(1, K + 1) - 1) * T / (2 * K)
-        v = eigen_transforms(merged, system, a_j, centres).reshape(K, R, p, -1)
+        v = eigen_transforms(events, system, a_j, centres).reshape(K, R, p, -1)
         omega = eigen_expansion(v, system.retained_eigenvalues).swapaxes(0, 1)
         try:
             stats = lrt_statistic(omega, n_dof, flavor).tolist()
@@ -367,7 +367,7 @@ def stationarity_tests(streams, config: StationarityConfig | None = None
         meta = {
             "T": T, "p": p, "J": config.J,
             "wavelet": wav.label, "alpha": wav.alpha,
-            "kappa": config.kappa, "c": config.c, "kappa_tilde": system.kernel.window.kappa,
+            "kappa": config.kappa, "c": config.c, "kappa_tilde": system.window.kappa,
             "dof_n": n_dof, "flavor": flavor.value,
             "n_retained": system.n_retained,
             "excluded_scales": [s.j for s in rows if not s.valid],

@@ -258,29 +258,24 @@ def _check_event_budget(expected: float) -> None:
 
 
 def simulate_hawkes(params: HawkesParams, T: float, seed) -> EventStream:
-    """Exact simulation of a stationary-parameter Hawkes process on (0, T].
-
-    Raises ValidationError before drawing anything when the stationary
-    expected count exceeds MAX_EXPECTED_EVENTS.
-    """
-    if T <= 0:
-        raise ValidationError("T must be positive")
-    _check_event_budget(float(params.stationary_rate().sum()) * T)
-    rng = np.random.default_rng(seed)
-    return EventStream(_simulate_hawkes_rng(params, T, rng), T)
+    """Exact simulation of a stationary-parameter Hawkes process on (0, T]: the
+    one-segment simulate_piecewise, with its checks."""
+    return simulate_piecewise([((0.0, T), params)], seed)
 
 
 def simulate_piecewise(segments, seed) -> EventStream:
     """Independent Hawkes segments concatenated over a partition of (0, T].
 
-    segments: iterable of ((t0, t1), HawkesParams). Intervals must tile
-    (0, T] without gaps or overlaps; each segment starts from an empty
-    history. The event budget of simulate_hawkes applies to the sum over
-    segments.
+    segments: iterable of ((t0, t1), HawkesParams). Intervals must have finite
+    bounds and tile (0, T] without gaps or overlaps; each segment starts from an
+    empty history. Raises ValidationError before drawing anything when the
+    stationary expected count, summed over segments, exceeds MAX_EXPECTED_EVENTS.
     """
     segs = [((float(lo), float(hi)), par) for (lo, hi), par in segments]
     if not segs:
         raise ValidationError("need at least one segment")
+    if not all(math.isfinite(lo) and math.isfinite(hi) for (lo, hi), _ in segs):
+        raise ValidationError("segment bounds must be finite")
     segs.sort(key=lambda s: s[0][0])
     if abs(segs[0][0][0]) > 1e-12:
         raise ValidationError("segments must start at 0")

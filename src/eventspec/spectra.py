@@ -61,25 +61,25 @@ def _require_inside(region: ValidRegion, a: float, b: float) -> None:
             f"({b - half:.3f}, {b + half:.3f}) not inside (0, {region.T}]")
 
 
-def eigen_transforms(stream: EventStream, system: EigenSystem, a: float,
-                     b_grid) -> np.ndarray:
-    """v_l(a, b) for every b of b_grid at one scale a, shape (n_b, p, L).
+def eigen_transforms(events, system: EigenSystem, a: float, b_grid) -> np.ndarray:
+    """v_l(a, b) for every b of b_grid at one scale a, shape (n_b, len(events), L).
 
-    Binary searches find every point's events in its support, per stream: a run of
-    (point, event) pairs per (point, stream). EigenSystem.summed_wavelets_by_run sums
-    the runs in blocks of at least one run and at most PAIR_BLOCK // 32 pairs (about 32
-    values of weights and indices each) and PAIR_BLOCK // (2 n_coef) runs (its grid), so
-    no scale holds all of its pairs at once.
+    events are sorted event-time arrays (as EventStream.events). Binary searches find
+    every point's events in its support, per array: a run of (point, event) pairs per
+    (point, array). EigenSystem.summed_wavelets_by_run sums the runs in blocks of at least
+    one run and at most PAIR_BLOCK // 32 pairs (about 32 values of weights and indices
+    each) and PAIR_BLOCK // (2 n_coef) runs (its grid), so no scale holds all its pairs.
     """
     b_grid = np.asarray(b_grid, dtype=float)
-    half = a * system.kernel.width / 2.0
+    half = a * system.width / 2.0
     n_ret = system.n_retained
-    # runs are (point, stream) in point-major order; seq holds every stream's events
-    seq = np.concatenate(stream.events)
-    offsets = np.cumsum([0] + [len(e) for e in stream.events[:-1]])
-    lo = np.array([np.searchsorted(e, b_grid - half, "left") for e in stream.events]).T
-    hi = np.array([np.searchsorted(e, b_grid + half, "right") for e in stream.events]).T
-    first, counts, b_runs = (lo + offsets).ravel(), (hi - lo).ravel(), np.repeat(b_grid, stream.p)
+    # runs are (point, array) in point-major order; seq holds every array's events
+    seq = np.concatenate(events)
+    offsets = np.cumsum([0] + [len(e) for e in events[:-1]])
+    lo = np.array([np.searchsorted(e, b_grid - half, "left") for e in events]).T
+    hi = np.array([np.searchsorted(e, b_grid + half, "right") for e in events]).T
+    first, counts = (lo + offsets).ravel(), (hi - lo).ravel()
+    b_runs = np.repeat(b_grid, len(events))
     ends = np.cumsum(counts)
     max_pairs, max_runs = PAIR_BLOCK // 32, PAIR_BLOCK // (2 * len(system.coefficients))
     out = np.empty((counts.size, n_ret), dtype=complex)
@@ -94,7 +94,7 @@ def eigen_transforms(stream: EventStream, system: EigenSystem, a: float,
         x = (seq[pairs] - np.repeat(b_runs[start:stop], runs)) / a
         out[start:stop] = system.summed_wavelets_by_run(x, run_ends)
         start = stop
-    return out.reshape(b_grid.size, stream.p, n_ret) / math.sqrt(a)
+    return out.reshape(b_grid.size, len(events), n_ret) / math.sqrt(a)
 
 
 def eigen_expansion(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -120,9 +120,8 @@ def eigen_cwt(stream: EventStream, system: EigenSystem, a: float, b: float,
     exactly, since K_{a,b}(s, t) = sum_l eta_l phi_{l,a,b}(s) phi*_{l,a,b}(t).
     """
     if check_region:
-        _require_inside(ValidRegion(system.kernel.wavelet.alpha, system.kernel.window.kappa,
-                                    stream.T), a, b)
-    return eigen_transforms(stream, system, a, [b])[0]
+        _require_inside(ValidRegion(system.wavelet.alpha, system.window.kappa, stream.T), a, b)
+    return eigen_transforms(stream.events, system, a, [b])[0]
 
 
 def _gamma2(z, dii, djj):
@@ -253,7 +252,7 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         raise ConfigError("no grid point lies inside the valid triangle")
     omega = np.full((a_grid.size, b_grid.size, p, p), np.nan, dtype=complex)
     for ia in np.flatnonzero(valid.any(axis=1)):
-        v = eigen_transforms(stream, system, a_grid[ia], b_grid[valid[ia]])
+        v = eigen_transforms(stream.events, system, a_grid[ia], b_grid[valid[ia]])
         omega[ia, valid[ia]] = eigen_expansion(v, system.retained_eigenvalues)
     if not np.isfinite(omega[valid]).all():
         raise NumericalError("omega is not finite at a valid grid point")
@@ -274,7 +273,7 @@ def field(stream: EventStream, config: FieldConfig) -> SpectralField:
         "dof": system.degrees_of_freedom(),
         "central_frequency": central_frequency,
         "energy_cutoff": config.energy_cutoff,
-        "n_points": system.kernel.n_points,
+        "n_points": system.n_points,
         "n_retained": system.n_retained,
         "a_max": region.a_max,
         "n_valid": int(valid.sum()),

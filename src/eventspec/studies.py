@@ -138,10 +138,8 @@ def _write_rows(out_dir: str, name: str, header: list, rows) -> None:
 def _coherence_draws(system: EigenSystem, make_stream, T: float,
                      a_tilde: float, b_tilde: float, replicates: int,
                      seed: int) -> np.ndarray:
-    a, b = denormalize_coords(a_tilde, b_tilde, T, system.kernel.wavelet.alpha,
-                              system.kernel.window.kappa)
-    if not ValidRegion(system.kernel.wavelet.alpha, system.kernel.window.kappa,
-                       T).contains(a, b):
+    a, b = denormalize_coords(a_tilde, b_tilde, T, system.wavelet.alpha, system.window.kappa)
+    if not ValidRegion(system.wavelet.alpha, system.window.kappa, T).contains(a, b):
         raise ConfigError(f"(a_tilde={a_tilde}, b_tilde={b_tilde}) falls outside "
                           f"the valid triangle at T={T}")
     return np.array(_replicates(
@@ -169,13 +167,13 @@ def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
     elif process == "hawkes":
         par = HawkesParams.from_dict(BIVARIATE_HAWKES)
         make = lambda sq: simulate_hawkes(par, T, seed=sq)
-        a = denormalize_coords(a_tilde, b_tilde, T, system.kernel.wavelet.alpha, kappa)[0]
-        rho2 = coherence_theoretical(par, system.kernel.wavelet.central_frequency / a, 0, 1)
+        a = denormalize_coords(a_tilde, b_tilde, T, system.wavelet.alpha, kappa)[0]
+        rho2 = coherence_theoretical(par, system.wavelet.central_frequency / a, 0, 1)
     else:
         raise ConfigError(f"unknown process {process!r}")
     draws = _coherence_draws(system, make, T, a_tilde, b_tilde, replicates, seed)
     from scipy import stats as sstats  # slow to import; used only for the KS test
-    dist = CoherenceDistribution(n=n, rho2=rho2, flavor=Flavor.of(system.kernel.wavelet))
+    dist = CoherenceDistribution(n=n, rho2=rho2, flavor=Flavor.of(system.wavelet))
     ks_stat, ks_p = sstats.kstest(draws, dist.cdf)
     if out_dir is not None:
         _write_rows(out_dir, f"qq-coherence_{wavelet_kind}_{process}_draws.csv",
@@ -206,7 +204,7 @@ def run_null_percentile(wavelet_kind: str = "morlet", kappa: float = 10.0,
     """Null-coherence percentile from the eigenvalue-sum degrees of freedom."""
     system = eigensystem_cached(wavelet_kind, kappa)
     n = system.degrees_of_freedom()
-    flavor = Flavor.of(system.kernel.wavelet)
+    flavor = Flavor.of(system.wavelet)
     value = null_percentile(flavor, n, q)
     passed = None
     if wavelet_kind == "morlet" and kappa == 10.0 and q == 0.95:

@@ -61,7 +61,7 @@ def spline_oracle():
         x = np.asarray(x, dtype=float)
         if system not in splines:
             splines[system] = CubicSpline(*refined_samples(system), bc_type="periodic")
-        half = system.kernel.width / 2.0
+        half = system.width / 2.0
         vals = splines[system](np.clip(x, -half, half)).astype(complex)
         vals[np.abs(x) >= half] = 0.0
         return vals * np.exp(2j * np.pi * system.modulation * x)[:, None]
@@ -71,13 +71,13 @@ def spline_oracle():
 
 @pytest.fixture(scope="session")
 def spline_oracle_cwt(spline_oracle):
-    """eigen_cwt evaluated per point through spline_oracle, summed per stream."""
+    """eigen_cwt of sorted event arrays, evaluated per point through spline_oracle."""
 
-    def transforms(stream, system, a, b, check_region=True):
-        half = a * system.kernel.width / 2.0
-        out = np.zeros((stream.p, system.n_retained), dtype=complex)
-        for i in range(stream.p):
-            local = stream.window(i, b - half, b + half)
+    def transforms(events, system, a, b):
+        half = a * system.width / 2.0
+        out = np.zeros((len(events), system.n_retained), dtype=complex)
+        for i, seq in enumerate(events):
+            local = seq[np.searchsorted(seq, b - half):np.searchsorted(seq, b + half, "right")]
             if local.size:
                 out[i] = spline_oracle(system, (local - b) / a).sum(axis=0) / np.sqrt(a)
         return out
@@ -93,9 +93,9 @@ def spline_oracle_transforms(spline_oracle_cwt):
     check that a patched route really ran through it.
     """
 
-    def transforms(stream, system, a, b_grid):
+    def transforms(events, system, a, b_grid):
         transforms.calls.extend((a, float(b)) for b in b_grid)
-        return np.array([spline_oracle_cwt(stream, system, a, b) for b in b_grid])
+        return np.array([spline_oracle_cwt(events, system, a, b) for b in b_grid])
 
     transforms.calls = []
     return transforms

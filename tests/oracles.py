@@ -1,5 +1,6 @@
 """Reference formulas the tests check the package against; not part of the package."""
 
+import functools
 import math
 
 import numpy as np
@@ -33,6 +34,16 @@ def kernel_value_morlet_rect(kappa: float, s, t):
     k = (np.exp(-0.25 * (t - s) ** 2) / (2.0 * kappa)
          * (erf((kappa - ssum) / 2.0) + erf((kappa + ssum) / 2.0)))
     return k * np.exp(-2j * np.pi * (t - s))
+
+
+@functools.lru_cache(maxsize=8)
+def kernel_of(system: EigenSystem) -> SmoothedKernel:
+    """The sampled kernel a system was solved from, which the system does not keep.
+
+    The build is deterministic, so its matrix is bit-identical to the one the
+    system came from, unless that kernel was altered (as unfactorized_kernel does).
+    """
+    return SmoothedKernel(system.wavelet, system.window, system.n_points)
 
 
 def full_kernel_matrix(kern: SmoothedKernel) -> np.ndarray:
@@ -95,7 +106,7 @@ def eigen_wavelet_value(system: EigenSystem, l: int, x) -> complex | np.ndarray:
         raise IndexError(f"eigen-wavelet index {l} beyond retained rank "
                          f"{system.n_retained}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    rows = value_matrix(system.kernel, x_arr, system.grid)
+    rows = value_matrix(kernel_of(system), x_arr, system.grid)
     full_l = system.vectors[:, l]
     if system.modulation != 0.0:
         full_l = full_l * np.exp(2j * np.pi * system.modulation * system.grid)
@@ -189,7 +200,7 @@ def eigen_transforms_per_point(stream: EventStream, system: EigenSystem, a: floa
     Each point's events come from EventStream.window, and their values are
     summed row by row instead of contracted run by run.
     """
-    half = a * system.kernel.width / 2.0
+    half = a * system.width / 2.0
     out = np.zeros((len(b_grid), stream.p, system.n_retained), dtype=complex)
     for k, b in enumerate(b_grid):
         for i in range(stream.p):

@@ -21,7 +21,7 @@ from eventspec import (CoherenceDistribution, Flavor, HawkesParams,
 from eventspec.studies import (BIVARIATE_HAWKES, UNIVARIATE_HAWKES,
                                _replicate_seed, run_piecewise_detection,
                                run_qq_coherence, run_qq_cwt, run_test_size)
-from oracles import kernel_value_morlet_rect, smoothed_periodogram_direct
+from oracles import kernel_of, kernel_value_morlet_rect, smoothed_periodogram_direct
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -118,7 +118,7 @@ class TestCriterion4:
                 a_t = rng.uniform(0.15, 0.4)  # keeps the double sum modest
             b_t = rng.uniform(a_t / 2.0, 1.0 - a_t / 2.0)
             a, b = denormalize_coords(a_t, b_t, T, alpha, kappa)
-            om_d = smoothed_periodogram_direct(stream, system.kernel, a, b)
+            om_d = smoothed_periodogram_direct(stream, kernel_of(system), a, b)
             om_e = smoothed_periodogram_eigen(stream, system, a, b)
             denom = np.linalg.norm(om_d)
             if denom == 0.0:
@@ -304,7 +304,7 @@ class TestCriterion11:
         par = HawkesParams.from_dict(BIVARIATE_HAWKES)
         f_star = brentq(lambda f: coherence_theoretical(par, f, 0, 1) - 0.4,
                         0.01, 0.3)
-        f0 = eigensystem_cached("morlet", 20.0).kernel.wavelet.central_frequency
+        f0 = eigensystem_cached("morlet", 20.0).wavelet.central_frequency
         T = (f0 / f_star) * 28.0 / 0.8
         out = run_qq_coherence("morlet", "hawkes", kappa=20.0, T=T,
                                replicates=1000, seed=20255)

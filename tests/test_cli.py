@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eventspec import inference, load_csv
+from eventspec import cli, inference, load_csv
 from eventspec.cli import build_parser
 from eventspec.cli import main
 from eventspec.inference import MAX_J
@@ -83,6 +83,16 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_non_finite_piecewise_bound_is_data_error(self, tmp_path, capsys):
+        # json reads NaN; the simulator refuses it before drawing anything
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "piecewise", "seed": 1, "segments": [
+            {"t0": 0.0, "t1": float("nan"),
+             "params": {"nu": [1.0], "alpha": [[0.5]], "beta": [[1.0]]}}]}))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "poisson", "lambda": [3.0],
@@ -104,6 +114,27 @@ class TestCoherenceCommand:
         meta = json.loads((tmp_path / "coherence_meta.json").read_text())
         assert meta["null_percentile_q"] == 0.95
         assert abs(meta["null_percentile"] - 0.593) < 0.01
+
+    @pytest.mark.parametrize("given", [("--percentile", 1.5), ("--percentile", 0),
+                                       ("--percentile", "nan"), {"percentile": 1.0},
+                                       {"percentile": float("nan")}],
+                             ids=["flag-1.5", "flag-0", "flag-nan", "config-1", "config-nan"])
+    def test_percentile_outside_unit_interval_is_config_error_before_any_input(
+            self, tmp_path, monkeypatch, capsys, given):
+        # the sweep once ran to the end and the percentile then failed as a data error
+        def refuse(*args, **kwargs):
+            raise AssertionError("events read or field sweep started")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        monkeypatch.setattr(cli, "field", refuse)
+        if isinstance(given, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            given = ("--config", cfg)
+        out = tmp_path / "out"
+        assert run(["coherence", tmp_path / "events.csv", *given, "--out", out]) == 2
+        assert "percentile must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_point_grid(self, tmp_path, poisson_file):
         cfg = tmp_path / "grid.json"

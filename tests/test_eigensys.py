@@ -1,3 +1,7 @@
+import functools
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,8 @@ from eventspec import (ConfigError, EigenSystem, NumericalError, SmoothedKernel,
 from eventspec.studies import run_qq_coherence
 from eventspec.quadrature import simpson_rule
 from oracles import (dof_closed_form, effective_frequency_response, eigen_wavelet_value,
-                     full_kernel_matrix, rank_one_kernel, refined_samples, unfactorized_kernel,
-                     value_matrix)
+                     full_kernel_matrix, kernel_of, rank_one_kernel, refined_samples,
+                     unfactorized_kernel, value_matrix)
 
 
 class TestDecomposition:
@@ -99,7 +103,7 @@ class TestDiagnostics:
             assert set(diag) == {"trace_error", "hermitian_asymmetry", "retained_energy",
                                  "min_retained_eigenvalue"}
             assert diag["trace_error"] < 1e-4
-            assert diag["hermitian_asymmetry"] <= 1e-14 * system.kernel.envelope_values.max()
+            assert diag["hermitian_asymmetry"] <= 1e-14 * kernel_of(system).envelope_values.max()
             assert diag["retained_energy"] == system.retained_energy >= system.energy_cutoff
             assert diag["min_retained_eigenvalue"] == system.retained_eigenvalues.min() > 0
 
@@ -199,7 +203,32 @@ class TestEigensystemCache:
         # a view of the first L columns had kept the whole n_points^2 eigenvector matrix
         system = eigensystem_cached("morlet", 10.0)
         assert system.vectors.base is None
-        assert system.vectors.size == system.kernel.n_points * system.n_retained
+        assert system.vectors.size == system.n_points * system.n_retained
+
+    @pytest.mark.parametrize("n_points, kappa, bound", [(512, 10.0, 1 << 20),
+                                                        (1024, 20.0, 5 << 19)])
+    def test_cached_system_keeps_no_kernel_matrix(self, monkeypatch, n_points, kappa, bound):
+        # the system's own arrays are about 0.5 MiB at 512 points and 1.8 MiB at 1024; its
+        # kernel's n_points^2 matrix (2 and 8 MiB) is let go once the system is built
+        monkeypatch.setattr(eigensys, "_eigensystem", functools.lru_cache(
+            maxsize=eigensys.SYSTEM_CACHE_SIZE)(eigensys._eigensystem.__wrapped__))
+        morlet = Wavelet.morlet()
+        eigensystem(morlet, SmoothingWindow.rectangular(kappa + 1.0), n_points)  # warm-up
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            system = eigensystem(morlet, SmoothingWindow.rectangular(kappa), n_points)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert not hasattr(system, "kernel")
+        assert eigensystem(morlet, SmoothingWindow.rectangular(kappa), n_points) is system
+        assert retained <= bound
 
 
 @pytest.fixture(scope="module", params=["morlet", "mexhat", "tabulated-complex"])
@@ -217,7 +246,7 @@ class TestTableEvaluator:
 
     @staticmethod
     def probes(system):
-        half = system.kernel.width / 2.0
+        half = system.width / 2.0
         knots = system._knots
         rng = np.random.default_rng(7)
         inside = np.concatenate([rng.uniform(-half, half, 600), knots[np.abs(knots) < half],
@@ -288,7 +317,7 @@ class TestNotAKnotTable:
         vectors = morlet_sys10.vectors.copy()
         vectors[100, 3] = np.nan
         with pytest.raises(NumericalError, match="not finite"):
-            EigenSystem(morlet_sys10.kernel, morlet_sys10.eigenvalues, vectors,
+            EigenSystem(kernel_of(morlet_sys10), morlet_sys10.eigenvalues, vectors,
                         morlet_sys10.energy_cutoff, 0.0)
 
     def test_table_above_the_byte_limit_is_config_error(self, monkeypatch, morlet_sys10):
@@ -301,7 +330,7 @@ class TestNotAKnotTable:
         monkeypatch.setattr(eigensys.np.fft, "ifft", refuse)
         nbytes = 16 * 512 * 8 * morlet_sys10.n_retained
         with pytest.raises(ConfigError, match=rf"n_points=512, kappa=10 needs {nbytes} bytes"):
-            EigenSystem(morlet_sys10.kernel, morlet_sys10.eigenvalues, morlet_sys10.vectors,
+            EigenSystem(kernel_of(morlet_sys10), morlet_sys10.eigenvalues, morlet_sys10.vectors,
                         morlet_sys10.energy_cutoff, 0.0)
 
 
@@ -320,7 +349,7 @@ class TestEigenWaveletValues:
         # interpolation there is locally ~1e-5 for the deepest retained
         # modes, and far better elsewhere
         x = np.linspace(-8.0, 8.0, 17) + 0.0137
-        rows = value_matrix(morlet_sys10.kernel, x, morlet_sys10.grid)
+        rows = value_matrix(kernel_of(morlet_sys10), x, morlet_sys10.grid)
         full = morlet_sys10.vectors * np.exp(
             2j * np.pi * morlet_sys10.grid)[:, None]
         ext = (rows @ full) * morlet_sys10.weight / morlet_sys10.retained_eigenvalues
@@ -408,5 +437,5 @@ class TestMercer:
                                    energy_cutoff=1.0 - 1e-8)
         full = system.vectors * np.exp(2j * np.pi * system.grid)[:, None]
         recon = (full * system.retained_eigenvalues) @ full.conj().T
-        target = full_kernel_matrix(system.kernel)
+        target = full_kernel_matrix(kernel_of(system))
         assert np.abs(recon - target).max() < 1e-3

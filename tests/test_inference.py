@@ -258,7 +258,7 @@ class TestStationarityTest:
         monkeypatch.setattr(inference, "eigen_transforms", spline_oracle_transforms)
         oracle = stationarity_test(stream, config)
         # the oracle evaluated every segment centre of every scale: 2 + 4 + 8
-        width = config.resolve_system(stream.T).kernel.width
+        width = config.resolve_system(stream.T).width
         assert spline_oracle_transforms.calls == [
             (stream.T / (2**j * width), (2 * k - 1) * stream.T / 2 ** (j + 1))
             for j in (1, 2, 3) for k in range(1, 2**j + 1)]
@@ -323,7 +323,7 @@ class TestStationarityTest:
         config = StationarityConfig(kappa=8.0, c=0.25, n_points=128)
         for T in (100.0, 1500.0):
             system = config.resolve_system(T)
-            assert system.kernel.window.kappa == pytest.approx(8.0 * T**0.25)
+            assert system.window.kappa == pytest.approx(8.0 * T**0.25)
         assert "system" not in {f.name for f in dataclasses.fields(StationarityConfig)}
 
     def test_result_independent_of_earlier_config(self):

@@ -7,8 +7,8 @@ from eventspec import (EventStream, SmoothedKernel, SmoothingWindow, ValidRegion
 from eventspec import kernels
 from eventspec.quadrature import simpson_rule
 from oracles import (cell_factors_whole_blocks, eigen_wavelet_value, full_kernel_matrix,
-                     kernel_value_morlet_rect, scaled_kernel_value, smoothed_periodogram_direct,
-                     value_matrix)
+                     kernel_of, kernel_value_morlet_rect, scaled_kernel_value,
+                     smoothed_periodogram_direct, value_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ class TestQuadratureKernel:
 
     def test_sampled_kernel_nonnegative_definite(self, morlet_sys10, mexhat_sys10):
         for system in (morlet_sys10, mexhat_sys10):
-            kern = system.kernel
+            kern = kernel_of(system)
             eigs = np.linalg.eigvalsh(kern.weight * kern.envelope_values)
             assert eigs.min() >= -1e-8 * eigs.max()
 

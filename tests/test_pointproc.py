@@ -286,10 +286,12 @@ class TestPiecewise:
         assert np.all(np.abs(s.counts() / s.T - 5.0 / 3.0) < 0.36)
 
     def test_single_segment_matches_hawkes(self):
+        # simulate_hawkes is the one-segment simulate_piecewise: both draw as one direct call
         par = HawkesParams.from_dict(UNIVARIATE)
-        a = simulate_piecewise([((0.0, 300.0), par)], seed=17)
-        b = simulate_hawkes(par, 300.0, seed=17)
-        assert np.array_equal(a.events[0], b.events[0])
+        direct = pointproc._simulate_hawkes_rng(par, 300.0, np.random.default_rng(17))
+        for stream in (simulate_piecewise([((0.0, 300.0), par)], seed=17),
+                       simulate_hawkes(par, 300.0, seed=17)):
+            assert np.array_equal(stream.events[0], direct[0])
 
     def test_gap_rejected(self):
         par = HawkesParams.from_dict(UNIVARIATE)
@@ -300,6 +302,15 @@ class TestPiecewise:
         par = HawkesParams.from_dict(UNIVARIATE)
         with pytest.raises(ValidationError):
             simulate_piecewise([((0.0, 10.0), par), ((9.0, 20.0), par)], seed=1)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_bound_rejected(self, bound):
+        # a NaN bound once reached numpy's uniform() and ended in its ValueError
+        par = HawkesParams.from_dict(UNIVARIATE)
+        with pytest.raises(ValidationError, match="finite"):
+            simulate_piecewise([((0.0, 10.0), par), ((10.0, bound), par)], seed=1)
+        with pytest.raises(ValidationError, match="finite"):
+            simulate_hawkes(par, bound, seed=1)
 
 
 class TestSpectrum:

@@ -15,8 +15,9 @@ from eventspec import (ConfigError, EventStream, FieldConfig, NumericalError,
                        smoothed_periodogram_eigen)
 from eventspec import spectra
 from eventspec.studies import piecewise_segments
-from oracles import (eigen_transforms_per_point, field_csv_one_string, normalize_coords,
-                     periodogram, rank_one_kernel, smoothed_periodogram_direct, value_matrix)
+from oracles import (eigen_transforms_per_point, field_csv_one_string, kernel_of,
+                     normalize_coords, periodogram, rank_one_kernel, smoothed_periodogram_direct,
+                     value_matrix)
 
 
 def empty_stream(p=2, T=100.0):
@@ -76,7 +77,7 @@ class TestSmoothedPeriodogram:
         assert np.all(om == 0)
 
     def test_single_pair_term(self, morlet_sys10):
-        kern = morlet_sys10.kernel
+        kern = kernel_of(morlet_sys10)
         s = EventStream([[49.0], [51.0]], T=100.0)
         a, b = 2.0, 50.0
         om = smoothed_periodogram_direct(s, kern, a, b)
@@ -90,7 +91,7 @@ class TestSmoothedPeriodogram:
         system = eigensystem_cached(kind, 10.0, energy_cutoff=1.0 - 1e-8)
         s = simulate_poisson([4.0, 4.0], 120.0, seed=9)
         a, b = denormalize_coords(0.5, 0.5, 120.0, 8.0, 10.0)
-        om_d = smoothed_periodogram_direct(s, system.kernel, a, b)
+        om_d = smoothed_periodogram_direct(s, kernel_of(system), a, b)
         om_e = smoothed_periodogram_eigen(s, system, a, b)
         rel = np.linalg.norm(om_d - om_e) / np.linalg.norm(om_d)
         assert rel < 1e-6
@@ -104,7 +105,7 @@ class TestSmoothedPeriodogram:
         s = simulate_poisson([3.0, 3.0], 120.0, seed=31)
         for a_t, b_t in [(0.5, 0.5), (0.3, 0.3), (0.8, 0.55)]:
             a, b = denormalize_coords(a_t, b_t, 120.0, wav.alpha, kappa)
-            om_d = smoothed_periodogram_direct(s, system.kernel, a, b)
+            om_d = smoothed_periodogram_direct(s, kernel_of(system), a, b)
             om_e = smoothed_periodogram_eigen(s, system, a, b)
             assert np.linalg.norm(om_d - om_e) <= 1e-6 * np.linalg.norm(om_d)
 
@@ -114,7 +115,7 @@ class TestSmoothedPeriodogram:
         s = simulate_poisson([3.0, 1.0], 300.0, seed=17)
         for a, b in [(0.5, 20.0), (3.0, 150.0), (16.0, 150.0)]:
             got = smoothed_periodogram_eigen(s, system, a, b)
-            v = spline_oracle_cwt(s, system, a, b)
+            v = spline_oracle_cwt(s.events, system, a, b)
             ref = (v * system.retained_eigenvalues) @ np.conj(v.T)
             ref = 0.5 * (ref + np.conj(ref.T))
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -127,7 +128,7 @@ class TestSmoothedPeriodogram:
     @pytest.mark.parametrize("route", ["cwt", "eigen", "direct"])
     def test_support_edges_follow_valid_region(self, route, morlet_sys10):
         # a support touching 0 and T exactly is admitted, one 1e-10 T beyond is refused
-        kern, T, a = morlet_sys10.kernel, 100.0, 2.0
+        kern, T, a = kernel_of(morlet_sys10), 100.0, 2.0
         s = simulate_poisson([1.0, 1.0], T, seed=3)
         run = {"cwt": lambda b: cwt(s, kern.wavelet, a, b),
                "eigen": lambda b: eigen_cwt(s, morlet_sys10, a, b),
@@ -222,7 +223,7 @@ class TestCoherenceBounds:
                              a_grid=np.array([0.5, 1.0, 2.0]),
                              b_grid=np.linspace(20.0, 80.0, n_b))
 
-        def random_transforms(stream, system, a, b_grid):
+        def random_transforms(events, system, a, b_grid):
             return v[: len(b_grid)]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -487,9 +488,9 @@ def sweep_cases(draw):
     kind = draw(st.sampled_from(["morlet", "mexhat"]))
     system = eigensystem_cached(kind, 10.0, n_points=128)
     T = draw(st.sampled_from([40.0, 100.0]))
-    a_max = T / system.kernel.width
+    a_max = T / system.width
     a = draw(st.floats(0.02 * a_max, a_max))
-    half = a * system.kernel.width / 2.0
+    half = a * system.width / 2.0
     inside = st.floats(half, T - half) if half < T - half else st.just(T / 2.0)
     b_grid = draw(st.lists(inside, min_size=1, max_size=6))
     b_grid += draw(st.sampled_from([[], [half], [T - half], [half, T - half]]))
@@ -519,7 +520,7 @@ class TestEigenTransforms:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:  # several blocks per scale
                 mp.setattr(spectra, "PAIR_BLOCK", block_sizes(system)[block])
-            got = spectra.eigen_transforms(stream, system, a, b_grid)
+            got = spectra.eigen_transforms(stream.events, system, a, b_grid)
         ref = eigen_transforms_per_point(stream, system, a, b_grid)
         assert got.shape == (b_grid.size, stream.p, system.n_retained)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -529,7 +530,7 @@ class TestEigenTransforms:
     def test_one_point_case_is_eigen_cwt(self, morlet_sys10):
         s = simulate_poisson([2.0, 2.0, 1.0], 100.0, seed=8)
         b_grid = np.array([30.0, 50.0, 61.5])
-        batch = spectra.eigen_transforms(s, morlet_sys10, 2.5, b_grid)
+        batch = spectra.eigen_transforms(s.events, morlet_sys10, 2.5, b_grid)
         omega = spectra.eigen_expansion(batch, morlet_sys10.retained_eigenvalues)
         for k, b in enumerate(b_grid):
             v = eigen_cwt(s, morlet_sys10, 2.5, b)
@@ -556,7 +557,7 @@ class TestEigenTransforms:
         # about 180 events per support at a = 1 (limited by runs), 450 at a = 2.5 (by pairs)
         for a, max_runs in ((1.0, 6), (2.5, 3)):
             blocks.clear()
-            got = spectra.eigen_transforms(s, system, a, b_grid)
+            got = spectra.eigen_transforms(s.events, system, a, b_grid)
             assert all(runs == 1 or (runs <= 6 and pairs <= block // 32)
                        for pairs, runs in blocks)
             assert max(runs for _, runs in blocks) == max_runs
