@@ -107,6 +107,8 @@ def _out_dir(args) -> str:
 
 def cmd_simulate(args) -> int:
     cfg, kind, T, seed = args.config_only, args.kind, args.T, args.seed
+    if seed < 0:  # numpy's seeding refuses it with a ValueError
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     if kind in ("poisson", "hawkes") and (T is None or not T > 0):
         raise ConfigError(f"{kind} simulation needs a positive horizon T")
     if kind == "poisson":
@@ -231,7 +233,7 @@ def cmd_reproduce(args) -> int:
     kwargs = args.config_only.get("args", {})
     if not isinstance(kwargs, dict) or "out_dir" in kwargs:
         raise ConfigError(f"config key 'args' must be an object without out_dir, got {kwargs!r}")
-    summary = studies.run_study(args.study, out_dir=_out_dir(args),
+    summary = studies.run_study(args.study, out_dir=args.out or ".",
                                 **dict(kwargs, **_given(args, "replicates", "seed")))
     print(json_text(summary))
     return 0

@@ -196,8 +196,6 @@ def nystrom_decompose(kernel: SmoothedKernel,
     """
     if not 0.0 < energy_cutoff <= 1.0:
         raise ValidationError("energy_cutoff must be in (0, 1]")
-    if kernel.n_points < 64:
-        raise ValidationError("n_points must be at least 64")
 
     mat = kernel.envelope_values
     # w (mat + mat^H) / 2 in one buffer, in place: the sums and products of the out-of-place form

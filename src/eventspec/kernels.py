@@ -262,8 +262,8 @@ class SmoothedKernel:
         self.window = window
         self.width = wavelet.alpha + window.kappa
         self.n_points = int(n_points)
-        if not 16 <= self.n_points <= MAX_GRID_POINTS:  # before any n^2 allocation
-            raise ValidationError(f"n_points must lie in [16, {MAX_GRID_POINTS}]")
+        if not 64 <= self.n_points <= MAX_GRID_POINTS:  # before any n^2 allocation
+            raise ValidationError(f"n_points must lie in [64, {MAX_GRID_POINTS}]")
         self.grid, self.weight = midpoint_grid(-self.width / 2.0, self.width / 2.0,
                                                self.n_points)
         self.modulation = wavelet.modulation
@@ -295,8 +295,8 @@ class ValidRegion:
     """
 
     def __init__(self, alpha: float, kappa: float, T: float):
-        if T <= 0:
-            raise ValidationError("T must be positive")
+        if not 0 < T < np.inf:  # NaN too
+            raise ValidationError(f"T must be positive and finite, got {T}")
         self.alpha = float(alpha)
         self.kappa = float(kappa)
         self.T = float(T)

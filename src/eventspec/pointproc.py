@@ -33,8 +33,8 @@ class EventStream:
     """
 
     def __init__(self, events, T: float):
-        if T <= 0:
-            raise ValidationError("horizon T must be positive")
+        if not 0 < T < math.inf:  # NaN too
+            raise ValidationError(f"horizon T must be positive and finite, got {T}")
         self.T = float(T)
         cleaned = []
         for i, seq in enumerate(events):

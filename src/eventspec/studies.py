@@ -1,7 +1,9 @@
 """Canned Monte-Carlo studies validating the distributional results.
 
-Each study returns a summary dict (and optionally writes raw draws plus a
-JSON summary to a directory). The same functions back the `reproduce` CLI
+Each study only computes: it returns (summary, draws), a summary dict and its
+raw draws as (file name, header, rows), or None for a study without draws.
+run_study alone writes, and only once the summary is valid JSON, so a failed
+run leaves no file or directory. The same functions back the `reproduce` CLI
 subcommand and the acceptance test suite; replicate counts are arguments
 so tests can pin the documented defaults.
 
@@ -87,8 +89,7 @@ def qq_correlation(sample: np.ndarray) -> float:
 
 def run_qq_cwt(wavelet_kind: str = "morlet", process: str = "poisson",
                horizons=(10.0, 50.0, 100.0), replicates: int = 2000,
-               seed: int = 20250, a_tilde: float = 0.8,
-               out_dir: str | None = None) -> dict:
+               seed: int = 20250, a_tilde: float = 0.8) -> tuple:
     """QQ study of the standardized wavelet transform against the normal.
 
     For each horizon the transform is evaluated at the centre of the data
@@ -118,21 +119,11 @@ def run_qq_cwt(wavelet_kind: str = "morlet", process: str = "poisson",
                         "qq_im": qq_correlation(im_part) if wav.is_complex else None})
         raw_rows.extend((T, r, re_part[r], im_part[r]) for r in range(replicates))
     qq_final = min(v for v in (results[-1]["qq_re"], results[-1]["qq_im"]) if v is not None)
-    if out_dir is not None:
-        _write_rows(out_dir, f"qq-cwt_{wavelet_kind}_{process}_draws.csv",
-                    ["T", "replicate", "re_standardized", "im_standardized"],
-                    raw_rows)
-    return {"study": "qq-cwt", "wavelet": wavelet_kind, "process": process,
-            "replicates": replicates, "seed": seed, "per_horizon": results,
-            "qq_final": qq_final, "passed": bool(qq_final >= 0.99)}
-
-
-def _write_rows(out_dir: str, name: str, header: list, rows) -> None:
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+    return ({"study": "qq-cwt", "wavelet": wavelet_kind, "process": process,
+             "replicates": replicates, "seed": seed, "per_horizon": results,
+             "qq_final": qq_final, "passed": bool(qq_final >= 0.99)},
+            (f"qq-cwt_{wavelet_kind}_{process}_draws.csv",
+             ["T", "replicate", "re_standardized", "im_standardized"], raw_rows))
 
 
 def _coherence_draws(system: EigenSystem, make_stream, T: float,
@@ -152,7 +143,7 @@ def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
                      kappa: float = 20.0, T: float = 100.0,
                      a_tilde: float = 0.8, b_tilde: float = 0.5,
                      replicates: int = 1000, seed: int = 20251,
-                     rate: float = 1.0, out_dir: str | None = None) -> dict:
+                     rate: float = 1.0) -> tuple:
     """KS/QQ study of smoothed wavelet coherence against its asymptotic law.
 
     process 'poisson': independent unit-rate pair, zero true coherence.
@@ -175,17 +166,16 @@ def run_qq_coherence(wavelet_kind: str = "morlet", process: str = "poisson",
     from scipy import stats as sstats  # slow to import; used only for the KS test
     dist = CoherenceDistribution(n=n, rho2=rho2, flavor=Flavor.of(system.wavelet))
     ks_stat, ks_p = sstats.kstest(draws, dist.cdf)
-    if out_dir is not None:
-        _write_rows(out_dir, f"qq-coherence_{wavelet_kind}_{process}_draws.csv",
-                    ["replicate", "coherence"], list(enumerate(draws)))
-    return {"study": "qq-coherence", "wavelet": wavelet_kind, "process": process,
-            "kappa": kappa, "T": T, "a_tilde": a_tilde, "b_tilde": b_tilde,
-            "replicates": replicates, "seed": seed, "dof": n, "rho2": rho2,
-            "ks_stat": float(ks_stat), "ks_p": float(ks_p),
-            "draws_mean": float(draws.mean()), "passed": bool(ks_p > 0.01)}
+    return ({"study": "qq-coherence", "wavelet": wavelet_kind, "process": process,
+             "kappa": kappa, "T": T, "a_tilde": a_tilde, "b_tilde": b_tilde,
+             "replicates": replicates, "seed": seed, "dof": n, "rho2": rho2,
+             "ks_stat": float(ks_stat), "ks_p": float(ks_p),
+             "draws_mean": float(draws.mean()), "passed": bool(ks_p > 0.01)},
+            (f"qq-coherence_{wavelet_kind}_{process}_draws.csv",
+             ["replicate", "coherence"], list(enumerate(draws))))
 
 
-def run_dof_table(kappa: float = 20.0, out_dir: str | None = None) -> dict:
+def run_dof_table(kappa: float = 20.0) -> tuple:
     """Effective degrees of freedom of both built-in wavelets at kappa."""
     rows = {}
     for kind in ("morlet", "mexhat"):
@@ -195,12 +185,11 @@ def run_dof_table(kappa: float = 20.0, out_dir: str | None = None) -> dict:
     if kappa == 20.0:
         passed = bool(abs(rows["morlet"] - 8.31) <= 0.05
                       and abs(rows["mexhat"] - 11.57) <= 0.05)
-    return {"study": "dof-table", "kappa": kappa, "dof": rows,
-            "passed": passed}
+    return {"study": "dof-table", "kappa": kappa, "dof": rows, "passed": passed}, None
 
 
 def run_null_percentile(wavelet_kind: str = "morlet", kappa: float = 10.0,
-                        q: float = 0.95, out_dir: str | None = None) -> dict:
+                        q: float = 0.95) -> tuple:
     """Null-coherence percentile from the eigenvalue-sum degrees of freedom."""
     system = eigensystem_cached(wavelet_kind, kappa)
     n = system.degrees_of_freedom()
@@ -209,8 +198,8 @@ def run_null_percentile(wavelet_kind: str = "morlet", kappa: float = 10.0,
     passed = None
     if wavelet_kind == "morlet" and kappa == 10.0 and q == 0.95:
         passed = bool(abs(value - 0.593) <= 0.01)
-    return {"study": "null-percentile", "wavelet": wavelet_kind, "kappa": kappa,
-            "q": q, "dof": n, "percentile": value, "passed": passed}
+    return ({"study": "null-percentile", "wavelet": wavelet_kind, "kappa": kappa,
+             "q": q, "dof": n, "percentile": value, "passed": passed}, None)
 
 
 def _lrt_replicates(make_stream, config: StationarityConfig, replicates: int,
@@ -231,8 +220,7 @@ def _lrt_replicates(make_stream, config: StationarityConfig, replicates: int,
 
 def run_test_size(rates=(2.0, 2.0), T: float = 1500.0, kappa: float = 6.0,
                   c: float = 0.25, J: int = 3, level: float = 0.05,
-                  replicates: int = 500, seed: int = 20252,
-                  out_dir: str | None = None) -> dict:
+                  replicates: int = 500, seed: int = 20252) -> tuple:
     """Size of the stationarity test under a stationary Poisson null."""
     config = StationarityConfig(kappa=kappa, c=c, J=J)
     stats, _, rate_list, first = _lrt_replicates(
@@ -243,38 +231,32 @@ def run_test_size(rates=(2.0, 2.0), T: float = 1500.0, kappa: float = 6.0,
         valid = column[~np.isnan(column)]
         ks.append(float(sstats.kstest(valid, sstats.chi2(scale.dof).cdf).pvalue)
                   if valid.size else None)
-    if out_dir is not None:
-        _write_rows(out_dir, "test-size_draws.csv", ["scale_j", "replicate", "statistic"],
-                    [(j + 1, r, stats[r, j]) for j in range(J) for r in range(replicates)])
     passed = None if None in rate_list else bool(all(0.028 <= r <= 0.078 for r in rate_list))
-    return {"study": "test-size", "rates": list(rates), "T": T, "kappa": kappa,
-            "c": c, "J": J, "level": level, "replicates": replicates,
-            "seed": seed, "dof_n": first.meta["dof_n"],
-            "rejection_rates": rate_list,
-            "chi2_ks_p": ks,
-            "passed": passed}
+    return ({"study": "test-size", "rates": list(rates), "T": T, "kappa": kappa,
+             "c": c, "J": J, "level": level, "replicates": replicates,
+             "seed": seed, "dof_n": first.meta["dof_n"],
+             "rejection_rates": rate_list, "chi2_ks_p": ks, "passed": passed},
+            ("test-size_draws.csv", ["scale_j", "replicate", "statistic"],
+             [(j + 1, r, stats[r, j]) for j in range(J) for r in range(replicates)]))
 
 
 def run_piecewise_detection(kappa: float = 8.0, c: float = 0.25, J: int = 3,
                             level: float = 0.05, replicates: int = 200,
-                            seed: int = 20253,
-                            out_dir: str | None = None) -> dict:
+                            seed: int = 20253) -> tuple:
     """Per-scale rejection rates on the piecewise-stationary Hawkes design."""
     segments = piecewise_segments()
     config = StationarityConfig(kappa=kappa, c=c, J=J)
     _, pvals, rate_list, first = _lrt_replicates(
         lambda sq: simulate_piecewise(segments, seed=sq), config, replicates, seed, level)
-    if out_dir is not None:
-        _write_rows(out_dir, "piecewise-detection_draws.csv", ["scale_j", "replicate", "p_value"],
-                    [(j + 1, r, pvals[r, j]) for r in range(replicates) for j in range(J)])
     # pass/fail per the stated acceptance thresholds (j=1 > 0.5, j=3 < 0.15);
     # structurally unattainable for this symmetric design, see the ledger
     needed = rate_list[:3:2] if J >= 3 else [None]  # j = 1 and j = 3
     passed = None if None in needed else bool(needed[0] > 0.5 and needed[1] < 0.15)
-    return {"study": "piecewise-detection", "kappa": kappa, "c": c, "J": J,
-            "level": level, "replicates": replicates, "seed": seed,
-            "dof_n": first.meta["dof_n"],
-            "rejection_rates": rate_list, "passed": passed}
+    return ({"study": "piecewise-detection", "kappa": kappa, "c": c, "J": J,
+             "level": level, "replicates": replicates, "seed": seed,
+             "dof_n": first.meta["dof_n"], "rejection_rates": rate_list, "passed": passed},
+            ("piecewise-detection_draws.csv", ["scale_j", "replicate", "p_value"],
+             [(j + 1, r, pvals[r, j]) for r in range(replicates) for j in range(J)]))
 
 
 STRING_CHOICES = {"wavelet_kind": ("morlet", "mexhat"), "process": ("poisson", "hawkes")}
@@ -303,8 +285,17 @@ def _valid_argument(key: str, value, default) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool) and low <= value < math.inf
 
 
+def _write_rows(out_dir: str, name: str, header: list, rows) -> None:
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
+                              else str(v) for v in row) + "\n")
+
+
 def run_study(name: str, out_dir: str | None = None, **kwargs) -> dict:
-    """Dispatch a named study and optionally persist its summary.
+    """Run a named study and return its summary; with out_dir, write its draws CSV and
+    <name>.json there, making out_dir only once the summary has serialised.
 
     Raises ConfigError for an unknown study, a keyword the study does not take or
     a value _valid_argument refuses; a summary that is not finite is a NumericalError.
@@ -317,12 +308,12 @@ def run_study(name: str, out_dir: str | None = None, **kwargs) -> dict:
             raise ConfigError(f"study {name!r} takes no parameter {key!r}")
         if not _valid_argument(key, value, parameters[key].default):
             raise ConfigError(f"study {name!r} parameter {key!r}: invalid value {value!r}")
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        kwargs = dict(kwargs, out_dir=out_dir)
-    summary = STUDIES[name](**kwargs)
+    summary, draws = STUDIES[name](**kwargs)
     if out_dir is not None:
         text = json_text(summary)
+        os.makedirs(out_dir, exist_ok=True)
+        if draws is not None:
+            _write_rows(out_dir, *draws)
         with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
             fh.write(text)
     return summary

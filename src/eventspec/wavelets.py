@@ -170,7 +170,11 @@ class Wavelet:
             mu = w @ ((cosx + 1j * sinx) * raw)
             gram = np.array([[w @ (cosx * cosx), w @ (cosx * sinx)],
                              [w @ (sinx * cosx), w @ (sinx * sinx)]])
-            coeff = np.linalg.solve(gram, np.array([mu.real, mu.imag]))
+            try:
+                coeff = np.linalg.solve(gram, np.array([mu.real, mu.imag]))
+            except np.linalg.LinAlgError:  # sin^2 underflows over a support this narrow
+                raise ValidationError(f"alpha={self.alpha:g} is too narrow to normalise "
+                                      "the wavelet (singular cos/sin Gram matrix)") from None
             self._c_cos, self._c_sin = float(coeff[0]), float(coeff[1])
             env = raw - self._c_cos * cosx - self._c_sin * sinx
         else:

@@ -166,7 +166,7 @@ class TestCriterion6:
         details = []
         for kind in ("morlet", "mexhat"):
             for process in ("poisson", "hawkes"):
-                out = run_qq_cwt(kind, process, replicates=2000, seed=20250)
+                out, _ = run_qq_cwt(kind, process, replicates=2000, seed=20250)
                 series = out["per_horizon"]
                 for key in ("qq_re", "qq_im"):
                     vals = [e[key] for e in series]
@@ -197,8 +197,8 @@ class TestCriterion7:
         start = time.time()
         results = {}
         for kind in ("morlet", "mexhat"):
-            out = run_qq_coherence(kind, "poisson", kappa=20.0, T=100.0,
-                                   replicates=1000, seed=20251, rate=2.0)
+            out, _ = run_qq_coherence(kind, "poisson", kappa=20.0, T=100.0,
+                                      replicates=1000, seed=20251, rate=2.0)
             results[kind] = out
         trend = {}
         for kind in ("morlet", "mexhat"):
@@ -252,8 +252,8 @@ class TestCriterion9:
     def test_size_under_poisson_null(self):
         """T=1500, c=1/4, J=3, 500 replicates: rejection in [0.028, 0.078]."""
         start = time.time()
-        out = run_test_size(rates=(2.0, 2.0), T=1500.0, kappa=6.0, c=0.25,
-                            J=3, level=0.05, replicates=500, seed=20252)
+        out, _ = run_test_size(rates=(2.0, 2.0), T=1500.0, kappa=6.0, c=0.25,
+                               J=3, level=0.05, replicates=500, seed=20252)
         rates = out["rejection_rates"]
         elapsed = time.time() - start
         band_ok = all(0.028 <= r <= 0.078 for r in rates)
@@ -278,8 +278,8 @@ class TestCriterion10:
     def test_piecewise_power_as_stated(self):
         """Piecewise design, 200 replicates: j=1 > 50%, j=3 < 15% (as stated)."""
         start = time.time()
-        out = run_piecewise_detection(kappa=8.0, c=0.25, J=3, level=0.05,
-                                      replicates=200, seed=20253)
+        out, _ = run_piecewise_detection(kappa=8.0, c=0.25, J=3, level=0.05,
+                                         replicates=200, seed=20253)
         rates = out["rejection_rates"]
         elapsed = time.time() - start
         ok = rates[0] > 0.5 and rates[2] < 0.15
@@ -306,8 +306,8 @@ class TestCriterion11:
                         0.01, 0.3)
         f0 = eigensystem_cached("morlet", 20.0).wavelet.central_frequency
         T = (f0 / f_star) * 28.0 / 0.8
-        out = run_qq_coherence("morlet", "hawkes", kappa=20.0, T=T,
-                               replicates=1000, seed=20255)
+        out, _ = run_qq_coherence("morlet", "hawkes", kappa=20.0, T=T,
+                                  replicates=1000, seed=20255)
         elapsed = time.time() - start
         ks_ok = out["ks_p"] > 0.01
         report(11, int_ok and ks_ok and elapsed < 600.0,

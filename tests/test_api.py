@@ -8,6 +8,7 @@ import pytest
 
 import eventspec
 import oracles
+from eventspec import studies
 
 
 def test_all_lists_every_public_name():
@@ -70,6 +71,8 @@ def test_removed_config_field_is_type_error(make):
     (eventspec.central_frequency, "n_fft"),
     (oracles.dof_closed_form, "n_quad"),
     (eventspec.CoherenceDistribution.cdf_grid, "n_grid"),
+    # a study only computes; run_study writes its draws and summary
+    *((study, "out_dir") for study in studies.STUDIES.values()),
 ])
 def test_removed_parameter(function, parameter):
     assert parameter not in inspect.signature(function).parameters

@@ -296,6 +296,11 @@ class TestEigsCommand:
     def test_zero_alpha_is_data_error(self, tmp_path):
         assert run(["eigs", "--alpha", 0, "--out", tmp_path]) == 3
 
+    def test_alpha_too_narrow_to_normalise_is_data_error(self, tmp_path, capsys):
+        assert run(["eigs", "--alpha", 1e-150, "--out", tmp_path / "out"]) == 3
+        assert "too narrow to normalise" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReproduceCommand:
     def test_dof_table(self, tmp_path, capsys):
@@ -384,6 +389,7 @@ HAWKES = {"nu": [1.0], "alpha": [[0.5]], "beta": [[1.0]]}
     ("reproduce", {"args": {"kappa": -20.0}}, "kappa"),
     ("reproduce", {"args": {"kappa": True}}, "kappa"),
     ("reproduce", {"args": {"out_dir": "elsewhere"}}, "out_dir"),
+    ("simulate", {"kind": "poisson", "lambda": [1.0], "T": 10.0, "seed": -1}, "seed"),  # was exit 1
 ])
 def test_bad_config_value_is_config_error(tmp_path, poisson_file, capsys, command, cfg, key):
     path = tmp_path / "bad.json"
@@ -391,6 +397,7 @@ def test_bad_config_value_is_config_error(tmp_path, poisson_file, capsys, comman
     positional = {"simulate": [], "reproduce": ["dof-table"]}.get(command, [poisson_file])
     assert run([command, *positional, "--config", path, "--out", tmp_path / "out"]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_that_is_not_1d_is_config_error(tmp_path, poisson_file, capsys):
@@ -447,7 +454,7 @@ def test_reproduce_refuses_bad_argument_values(tmp_path, capsys, study, cfg):
     assert run(["reproduce", study, "--config", path, "--out", tmp_path / "out"]) == 2
     key = next(iter(cfg.get("args", cfg)))
     assert f"parameter {key!r}" in capsys.readouterr().err
-    assert not (tmp_path / "out" / f"{study}.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_takes_valid_argument_values(tmp_path):
@@ -488,6 +495,18 @@ def test_non_finite_report_is_numerical_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["test-stationarity", "coherence"])
+@pytest.mark.parametrize("T", ["nan", "inf"])
+def test_non_finite_horizon_is_data_error(tmp_path, capsys, command, T):
+    # T=nan had been blamed on the streams' horizons (NaN != NaN) or on the valid
+    # triangle, and T=inf on kappa
+    path = tmp_path / "horizon.csv"
+    path.write_text(f"# p=2 T={T}\n1,1.0\n2,2.0\n1,5.0\n2,7.5\n")
+    assert run([command, path, "--out", tmp_path / "out"]) == 3
+    assert "horizon T must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_coherence_is_numerical_error(tmp_path, capsys):
     # T = 1e-300 leaves Omega finite (its diagonal near 1e291) but |Omega_ij|^2
@@ -518,10 +537,18 @@ def test_non_finite_stationarity_report_is_refused_by_its_writer(tmp_path, poiss
 def test_non_finite_study_summary_is_numerical_error(tmp_path, capsys, monkeypatch):
     from eventspec import studies
 
-    def degenerate(kappa: float = 20.0, out_dir=None):
-        return {"study": "dof-table", "dof": {"morlet": float("inf")}}
+    def degenerate(kappa: float = 20.0):
+        return {"study": "dof-table", "dof": {"morlet": float("inf")}}, None
 
     monkeypatch.setitem(studies.STUDIES, "dof-table", degenerate)
-    assert run(["reproduce", "dof-table", "--out", tmp_path]) == 4
+    assert run(["reproduce", "dof-table", "--out", tmp_path / "out"]) == 4
     assert "not finite" in capsys.readouterr().err
-    assert not (tmp_path / "dof-table.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's corrcoef of one sample
+def test_failed_study_leaves_no_output(tmp_path, capsys):
+    # one replicate gives a NaN QQ correlation: the draws exist, the summary does not serialise
+    assert run(["reproduce", "qq-cwt", "--replicates", 1, "--out", tmp_path / "out"]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -363,15 +363,17 @@ def test_real_null_percentile_matches_bisection(n, q):
 @pytest.fixture(scope="module")
 def size_study():
     from eventspec.studies import run_test_size
-    return run_test_size(rates=(4.0, 4.0), T=1500.0, kappa=6.0, c=0.25,
-                         J=3, replicates=500, seed=1)
+    summary, _ = run_test_size(rates=(4.0, 4.0), T=1500.0, kappa=6.0, c=0.25,
+                               J=3, replicates=500, seed=1)
+    return summary
 
 
 @pytest.fixture(scope="module")
 def criterion9_study():
     from eventspec.studies import run_test_size
-    return run_test_size(rates=(2.0, 2.0), T=1500.0, kappa=6.0, c=0.25,
-                         J=3, replicates=500, seed=20252)
+    summary, _ = run_test_size(rates=(2.0, 2.0), T=1500.0, kappa=6.0, c=0.25,
+                               J=3, replicates=500, seed=20252)
+    return summary
 
 
 class TestNullStatisticDistribution:
@@ -500,5 +502,5 @@ def test_piecewise_verdict_is_null_without_a_rate(monkeypatch):
                           ([None, 0.2, 0.1], None)):
         monkeypatch.setattr(studies, "_lrt_replicates",
                             lambda *args: (None, np.zeros((1, 3)), rates, first))
-        out = studies.run_piecewise_detection(replicates=1)
+        out, _ = studies.run_piecewise_detection(replicates=1)
         assert out["rejection_rates"] == rates and out["passed"] is passed

@@ -199,7 +199,7 @@ class TestGridMatrix:
 
     def test_grid_size_capped_before_allocation(self, morlet, rect10, monkeypatch):
         monkeypatch.setattr(kernels, "midpoint_grid", None)  # any use would raise TypeError
-        for n in (kernels.MAX_GRID_POINTS + 1, 10**12, 15):
+        for n in (kernels.MAX_GRID_POINTS + 1, 10**12, 63, 15):
             with pytest.raises(ValidationError):
                 SmoothedKernel(morlet, rect10, n_points=n)
 
@@ -217,7 +217,7 @@ class TestGridMatrix:
     def test_blocks_are_read_only_views_of_one_buffer(self, morlet, rect10):
         # a consumer uses each block before asking for the next; one that keeps blocks
         # keeps views of a buffer the next blocks refill, and cannot write into them
-        kern = SmoothedKernel(morlet, rect10, n_points=16)
+        kern = SmoothedKernel(morlet, rect10, n_points=64)
         kept = [f[0] for f in kernels._cell_factors(kern, [np.linspace(-5.0, 5.0, 1000)])]
         assert len(kept) > 1 and all(np.shares_memory(kept[0], f) for f in kept)
         with pytest.raises(ValueError):
@@ -290,6 +290,11 @@ class TestValidRegion:
         region = ValidRegion(8.0, 10.0, 100.0)
         assert (region.a_max / 2, 50.0) in region
         assert (region.a_max, 10.0) not in region
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_not_positive_and_finite_refused(self, T):
+        with pytest.raises(ValidationError, match="T must be positive and finite"):
+            ValidRegion(8.0, 10.0, T)
 
 
 class TestSmoothingWindow:

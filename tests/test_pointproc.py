@@ -35,6 +35,11 @@ class TestEventStream:
         with pytest.raises(ValidationError):
             EventStream([[-0.5]], T=2.0)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_horizon_not_positive_and_finite(self, T):
+        with pytest.raises(ValidationError, match="horizon T"):
+            EventStream([[]], T=T)
+
 
 class TestCsv:
     def test_basic_rows(self, tmp_path):

@@ -187,6 +187,11 @@ class TestNamed:
         with pytest.raises(ValidationError):
             Wavelet.named("morlet", 0.0)
 
+    def test_alpha_too_narrow_to_normalise_is_validation_error(self):
+        # sin^2 underflows to zero over the support: the Gram solve had raised LinAlgError
+        with pytest.raises(ValidationError, match="too narrow"):
+            Wavelet.morlet(1e-150)
+
     def test_qq_cwt_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             run_qq_cwt(wavelet_kind="foo", replicates=2)
