@@ -2,15 +2,16 @@
 
 The smoothed periodogram at an interior point is asymptotically
 (1/n) Wishart with n = 1/sum(eta_l^2) degrees of freedom, which yields
-closed coherence densities (Goodman form for complex wavelets, the Fisher
-form for real ones) in terms of the Gauss hypergeometric function; the
-wavelet fixes which (Flavor.of), so no config chooses it. The stationarity
-test partitions the time-scale plane dyadically and compares segment
-periodograms with a covariance-equality likelihood ratio whose -2 log
-Lambda_j is asymptotically chi-squared with (2^j - 1) p^2 degrees of freedom
-per scale. stationarity_tests takes a batch of streams through one transform
-call and one batched-Cholesky LRT call per scale; stationarity_test is its
-one-stream case.
+closed coherence densities, CoherenceDistribution.pdf (Goodman form for
+complex wavelets, the Fisher form for real ones), in terms of the Gauss
+hypergeometric function scipy.special.hyp2f1; the wavelet fixes which
+(Flavor.of), so no config chooses it. The stationarity test partitions the
+time-scale plane dyadically and compares segment periodograms with a
+covariance-equality likelihood ratio whose -2 log Lambda_j is asymptotically
+chi-squared with (2^j - 1) p^2 degrees of freedom per scale. stationarity_tests
+takes a batch of streams through one transform call and one batched-Cholesky
+LRT call per scale; stationarity_test is its one-stream case. A segment
+periodogram has rank at most L = n_retained, so p > L streams are refused.
 """
 
 from __future__ import annotations
@@ -45,21 +46,6 @@ class Flavor(enum.Enum):
         return cls.COMPLEX if wavelet.is_complex else cls.REAL
 
 
-def hyp2f1(a1: float, a2: float, b1: float, z):
-    """Gauss hypergeometric 2F1(a1, a2; b1; z) for |z| < 1 and b1 > 0.
-
-    Elementwise over array z; scalar in, float out.
-    """
-    from scipy import special  # slow to import; kept off the CLI's import path
-    if b1 <= 0:
-        raise ValidationError("hyp2f1 requires b1 > 0")
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(z_arr) >= 1.0):
-        raise ValidationError("hyp2f1 requires |z| < 1")
-    out = special.hyp2f1(a1, a2, b1, z_arr)
-    return float(out) if z_arr.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class CoherenceDistribution:
     """Asymptotic law of the smoothed wavelet coherence.
@@ -80,8 +66,26 @@ class CoherenceDistribution:
         if not 0.0 <= self.rho2 < 1.0:
             raise ValidationError("rho2 must lie in [0, 1)")
 
-    def pdf(self, x):
-        return coherence_density(self, x)
+    def pdf(self, x) -> np.ndarray | float:
+        """Density of the law at x in [0, 1)."""
+        from scipy.special import hyp2f1  # slow to import; kept off the CLI's import path
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any((x_arr < 0) | (x_arr >= 1)):
+            raise ValidationError("coherence density is supported on [0, 1)")
+        n, r2 = self.n, self.rho2
+        if self.flavor is Flavor.COMPLEX:
+            base = (n - 1.0) * (1.0 - r2) ** n
+            out = base * (1.0 - x_arr) ** (n - 2.0) * hyp2f1(n, n, 1.0, r2 * x_arr)
+        else:
+            logc = math.lgamma(n / 2.0) - math.lgamma(0.5) - math.lgamma((n - 1.0) / 2.0)
+            base = math.exp(logc) * (1.0 - r2) ** (n / 2.0)
+            with np.errstate(divide="ignore"):
+                lead = x_arr ** -0.5
+            out = (base * lead * (1.0 - x_arr) ** ((n - 3.0) / 2.0)
+                   * hyp2f1(n / 2.0, n / 2.0, 0.5, r2 * x_arr))
+        if np.isscalar(x) or np.asarray(x).ndim == 0:
+            return float(out[0])
+        return out
 
     def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Numeric CDF on CDF_GRID_POINTS nodes, integrating in y = sqrt(x).
@@ -121,28 +125,6 @@ class CoherenceDistribution:
     @cached_property
     def _cdf_table(self):
         return self.cdf_grid()
-
-
-def coherence_density(dist: CoherenceDistribution, x) -> np.ndarray | float:
-    """Density of the asymptotic coherence law at x in [0, 1)."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((x_arr < 0) | (x_arr >= 1)):
-        raise ValidationError("coherence density is supported on [0, 1)")
-    n = dist.n
-    r2 = dist.rho2
-    if dist.flavor is Flavor.COMPLEX:
-        base = (n - 1.0) * (1.0 - r2) ** n
-        out = base * (1.0 - x_arr) ** (n - 2.0) * hyp2f1(n, n, 1.0, r2 * x_arr)
-    else:
-        logc = math.lgamma(n / 2.0) - math.lgamma(0.5) - math.lgamma((n - 1.0) / 2.0)
-        base = math.exp(logc) * (1.0 - r2) ** (n / 2.0)
-        with np.errstate(divide="ignore"):
-            lead = x_arr ** -0.5
-        out = (base * lead * (1.0 - x_arr) ** ((n - 3.0) / 2.0)
-               * hyp2f1(n / 2.0, n / 2.0, 0.5, r2 * x_arr))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out
 
 
 def null_percentile(flavor: Flavor, n: float, q: float) -> float:
@@ -316,7 +298,8 @@ def stationarity_test(stream: EventStream,
 
 def stationarity_tests(streams, config: StationarityConfig | None = None
                        ) -> list[StationarityReport]:
-    """stationarity_test of each stream; the streams share T and p (else ValidationError).
+    """stationarity_test of each stream; the streams share T and p (else ValidationError),
+    and p is at most the eigensystem's L (else ConfigError, before any transform).
 
     Per scale: one eigen_transforms call over every stream and one lrt_statistic call
     over their (R, K, p, p) stack, retried a stream at a time if its Cholesky refuses,
@@ -330,6 +313,10 @@ def stationarity_tests(streams, config: StationarityConfig | None = None
     T, p, R = streams[0].T, streams[0].p, len(streams)
     events = [e for s in streams for e in s.events]  # replicate-major, as reshaped below
     system = config.resolve_system(T)
+    if p > system.n_retained:  # every segment's Omega would be singular
+        raise ConfigError(f"p={p} streams exceed the L={system.n_retained} eigen-wavelets "
+                          f"retained at kappa_tilde={system.window.kappa:.6g}; "
+                          "a wider window (larger kappa or c) retains more")
     wav = system.wavelet
     flavor = Flavor.of(wav)
     width = system.width

@@ -8,9 +8,9 @@ Every sampled value of k comes from one Gauss-Legendre cell rule in u,
 _cell_factors: the grid matrix here, and the off-grid values and the direct
 periodogram of the test oracles (tests/oracles.py). Cells wider than the grid
 step are split: a few sparse points otherwise leave cells as wide as the
-window, 1.6e-4 off. It agrees with a fine per-pair rule to ~3e-13 of max|K|
-(~1e-8 for a spline-tabulated wavelet); that rule, _pairwise_quad, is kept
-only behind kernel_value, the reference path.
+window, 1.6e-4 off. It agrees with the oracles' fine per-pair rule
+(kernel_value, the reference quadrature) to ~3e-13 of max|K| (~1e-8 for a
+spline-tabulated wavelet).
 
 For a wavelet with an analytic phase factor, psi(t) = e^{i 2 pi f t} r(t),
 the kernel factorizes as K(s, t) = e^{i 2 pi f (s - t)} k(s, t) with k the
@@ -34,7 +34,6 @@ from .errors import ParseError, ValidationError
 from .quadrature import midpoint_grid, simpson_rule
 from .wavelets import Wavelet
 
-KERNEL_QUAD_POINTS = 128    # Gauss-Legendre nodes for pointwise kernel values
 CELL_QUAD_POINTS = 4        # Gauss-Legendre nodes per cell of the grid rule
 DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 4096      # the kernel matrix alone is 128 MB at this size
@@ -150,42 +149,6 @@ def _gauss_legendre(n: int) -> tuple:
     return ((x + 1.0) / 2.0, w / 2.0)  # mapped to [0, 1]
 
 
-def _pairwise_quad(wavelet: Wavelet, window: SmoothingWindow,
-                   s_flat: np.ndarray, t_flat: np.ndarray, n_quad: int,
-                   chunk: int = 2048) -> np.ndarray:
-    """Envelope kernel k(s_i, t_i) = int h_kappa(u) r(s_i-u) r*(t_i-u) du
-    for paired point arrays.
-
-    Each pair is integrated by Gauss-Legendre over the exact intersection
-    of the window support with both translated envelope supports; the
-    integrand is analytic there (truncation edges sit on the interval
-    endpoints), so a ~100-node rule is already at near-machine accuracy.
-    """
-    out_complex = wavelet.is_complex and wavelet.modulation == 0.0
-    half = wavelet.alpha / 2.0
-    lo = np.maximum(np.maximum(s_flat, t_flat) - half, -window.kappa / 2.0)
-    hi = np.minimum(np.minimum(s_flat, t_flat) + half, window.kappa / 2.0)
-    out = np.zeros(s_flat.shape, dtype=complex if out_complex else float)
-    active = np.nonzero(hi > lo)[0]
-    if active.size == 0:
-        return out
-    frac, wts = _gauss_legendre(n_quad)
-    flat_density = window.kind is WindowKind.RECTANGULAR
-    env = wavelet.envelope_smooth
-    for start in range(0, active.size, chunk):
-        ia = active[start:start + chunk]
-        u = lo[ia, None] + (hi[ia] - lo[ia])[:, None] * frac[None, :]
-        integ = env(s_flat[ia, None] - u)
-        integ = integ * np.conj(env(t_flat[ia, None] - u))
-        if flat_density:
-            vals = (integ @ wts) * ((hi[ia] - lo[ia]) / window.kappa)
-        else:
-            integ *= window.density(u)
-            vals = (integ @ wts) * (hi[ia] - lo[ia])
-        out[ia] = vals if out_complex else vals.real
-    return out
-
-
 def _cell_factors(kern: "SmoothedKernel", point_sets: list):
     """Per block of cells in u, F = sqrt(w h_kappa(u)) E, E[c, i] = r(pts_i - u_c), per set.
 
@@ -224,28 +187,6 @@ def _cell_factors(kern: "SmoothedKernel", point_sets: list):
                             root[c], out=block[c])
             block.flags.writeable = False
         yield blocks
-
-
-def kernel_value(wavelet: Wavelet, window: SmoothingWindow, s, t,
-                 n_quad: int = KERNEL_QUAD_POINTS):
-    """K(s, t) by quadrature over the intersection of supports.
-
-    Broadcasts over array-valued s and t of a common shape. This is the
-    reference quadrature path, independent of any closed form.
-    """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    s_arr, t_arr = np.broadcast_arrays(s_arr, t_arr)
-    shape = s_arr.shape
-    s_flat = s_arr.ravel().astype(float)
-    t_flat = t_arr.ravel().astype(float)
-    out = _pairwise_quad(wavelet, window, s_flat, t_flat, n_quad)
-    if wavelet.modulation != 0.0:
-        out = out * np.exp(2j * np.pi * wavelet.modulation * (s_flat - t_flat))
-    out = out.reshape(shape)
-    if np.isscalar(s) and np.isscalar(t):
-        return out.reshape(-1)[0]
-    return out
 
 
 class SmoothedKernel:

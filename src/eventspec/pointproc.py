@@ -18,7 +18,7 @@ from .errors import ConfigError, ParseError, ValidationError
 
 # Simulators refuse designs whose stationary expected event count exceeds
 # this, so a near-critical Hawkes process fails fast instead of exhausting
-# memory.
+# memory; load_csv refuses a file with more rows.
 MAX_EXPECTED_EVENTS = 10**7
 # load_csv refuses more streams than this before allocating any: the largest p
 # whose omega at a single grid point (p x p complex) fits kernels.MAX_FIELD_BYTES.
@@ -72,7 +72,8 @@ def load_csv(path) -> EventStream:
     """Read an event file: optional header '# p=<int> T=<float>', rows 'stream,time'.
 
     Without a header, p is the largest stream index seen and T the maximum
-    time rounded up to the next integer. A p above MAX_STREAMS is a ParseError.
+    time rounded up to the next integer. A p above MAX_STREAMS, or more rows than
+    MAX_EXPECTED_EVENTS, is a ParseError.
     """
     header_p = None
     header_T = None
@@ -105,6 +106,8 @@ def load_csv(path) -> EventStream:
                 raise ParseError(f"stream index must be >= 1, got {idx}", lineno)
             if not math.isfinite(t) or t <= 0:
                 raise ParseError(f"event time must be positive and finite, got {t}", lineno)
+            if len(times) >= MAX_EXPECTED_EVENTS:  # before the arrays: ~90 bytes a row
+                raise ParseError(f"more than {MAX_EXPECTED_EVENTS} events", lineno)
             indices.append(idx)
             times.append(t)
 

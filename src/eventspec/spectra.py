@@ -3,15 +3,16 @@
 The temporally smoothed wavelet periodogram Omega(a, b) is the multi-wavelet
 expansion sum_l eta_l v_l v_l^H (eigen_expansion) of the transforms v_l under
 the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a translation
-grid; field() and stationarity_tests call it once per scale, and eigen_cwt is its
-one-point case. It sums the 8 weights of each of a scale's (point, event) pairs onto a
-coefficient grid per (point, stream) run, and one matrix product per block of runs meets
-the whole coefficient table, so the L-wide work does not grow with the pairs.
-Omega's definition, the kernel double sum over event pairs, is the direct route
-of the test oracles (tests/oracles.py); the two agree to interpolation accuracy.
+grid; field() and stationarity_tests call it once per scale, and
+smoothed_periodogram_eigen at one point. It sums the 8 weights of each of a scale's
+(point, event) pairs onto a coefficient grid per (point, stream) run, and one matrix
+product per block of runs meets the whole coefficient table, so the L-wide work does
+not grow with the pairs. Omega's definition, the kernel double sum over event pairs,
+is the direct route of the test oracles (tests/oracles.py); the two agree to
+interpolation accuracy.
 
-cwt, eigen_cwt and smoothed_periodogram_eigen raise RegionError for a support
-outside (0, T]; eigen_transforms checks no point: its callers pass points inside.
+cwt and smoothed_periodogram_eigen raise RegionError for a support outside (0, T];
+eigen_transforms checks no point: its callers pass points inside.
 Memory: PAIR_BLOCK bounds a block of pairs, MAX_FIELD_BYTES field()'s Omega, and
 SpectralField.to_csv formats one scale row (n_b p^2 rows) at a time.
 """
@@ -106,22 +107,16 @@ def eigen_expansion(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def smoothed_periodogram_eigen(stream: EventStream, system: EigenSystem,
                                a: float, b: float,
                                check_region: bool = True) -> np.ndarray:
-    """Omega(a, b) via the eigen-wavelet expansion sum_l eta_l v_l v_l^H."""
-    return eigen_expansion(eigen_cwt(stream, system, a, b, check_region),
-                           system.retained_eigenvalues)
+    """Omega(a, b) via the eigen-wavelet expansion sum_l eta_l v_l v_l^H, one point of field().
 
-
-def eigen_cwt(stream: EventStream, system: EigenSystem, a: float, b: float,
-              check_region: bool = True) -> np.ndarray:
-    """Transforms v_l(a, b) = integral of phi_{l,a,b}(t) dN(t), shape (p, L).
-
-    Unlike the analyzing transform w(a, b), v_l is not conjugated: the
-    expansion sum_l eta_l v_l v_l^H then reproduces the kernel double sum
-    exactly, since K_{a,b}(s, t) = sum_l eta_l phi_{l,a,b}(s) phi*_{l,a,b}(t).
+    Unlike the analyzing transform w(a, b), v_l = integral of phi_{l,a,b}(t) dN(t) is
+    not conjugated: the expansion then reproduces the kernel double sum exactly, since
+    K_{a,b}(s, t) = sum_l eta_l phi_{l,a,b}(s) phi*_{l,a,b}(t).
     """
     if check_region:
         _require_inside(ValidRegion(system.wavelet.alpha, system.window.kappa, stream.T), a, b)
-    return eigen_transforms(stream.events, system, a, [b])[0]
+    return eigen_expansion(eigen_transforms(stream.events, system, a, [b])[0],
+                           system.retained_eigenvalues)
 
 
 def _gamma2(z, dii, djj):

@@ -94,8 +94,10 @@ def run_qq_cwt(wavelet_kind: str = "morlet", process: str = "poisson",
 
     For each horizon the transform is evaluated at the centre of the data
     at the scale a = a_tilde * T / alpha and standardized by the process
-    spectrum at the analyzing frequency.
+    spectrum at the analyzing frequency. A QQ correlation needs two replicates.
     """
+    if replicates < 2:
+        raise ConfigError(f"study 'qq-cwt' parameter 'replicates': need at least 2, got {replicates}")
     wav = Wavelet.named(wavelet_kind)
     par = HawkesParams.from_dict(UNIVARIATE_HAWKES)
     results = []

@@ -15,13 +15,13 @@ from scipy.optimize import brentq
 
 from eventspec import (CoherenceDistribution, Flavor, HawkesParams,
                        SmoothingWindow, Wavelet, coherence_theoretical,
-                       denormalize_coords, eigensystem_cached, kernel_value,
+                       denormalize_coords, eigensystem_cached,
                        null_percentile,
                        simulate_hawkes, simulate_poisson, smoothed_periodogram_eigen)
 from eventspec.studies import (BIVARIATE_HAWKES, UNIVARIATE_HAWKES,
                                _replicate_seed, run_piecewise_detection,
                                run_qq_coherence, run_qq_cwt, run_test_size)
-from oracles import kernel_of, kernel_value_morlet_rect, smoothed_periodogram_direct
+from oracles import kernel_of, kernel_value, kernel_value_morlet_rect, smoothed_periodogram_direct
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:

@@ -76,3 +76,15 @@ def test_removed_config_field_is_type_error(make):
 ])
 def test_removed_parameter(function, parameter):
     assert parameter not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("module, name", [
+    ("kernels", "kernel_value"), ("kernels", "_pairwise_quad"),
+    ("kernels", "KERNEL_QUAD_POINTS"), ("inference", "hyp2f1"),
+    ("inference", "coherence_density"), ("spectra", "eigen_cwt"),
+])
+def test_removed_name(module, name):
+    # the reference quadrature is a test oracle; scipy.special.hyp2f1,
+    # CoherenceDistribution.pdf and smoothed_periodogram_eigen took over the rest
+    assert not hasattr(getattr(eventspec, module), name)
+    assert not hasattr(eventspec, name)

@@ -447,6 +447,7 @@ def test_reproduce_reads_top_level_seed_and_replicates(tmp_path):
     ("piecewise-detection", {"replicates": 0}),
     ("qq-cwt", {"args": {"replicates": 0}}),
     ("qq-coherence", {"replicates": 0}),
+    ("qq-cwt", {"replicates": 1}),  # a QQ correlation needs two points
 ])
 def test_reproduce_refuses_bad_argument_values(tmp_path, capsys, study, cfg):
     path = tmp_path / "cfg.json"
@@ -507,6 +508,17 @@ def test_non_finite_horizon_is_data_error(tmp_path, capsys, command, T):
     assert not (tmp_path / "out").exists()
 
 
+def test_more_streams_than_eigen_wavelets_is_config_error(tmp_path, capsys):
+    # rank Omega <= L: p = L + 1 had computed every scale and reported each one NA
+    from eventspec import StationarityConfig, save_csv, simulate_poisson
+    L = StationarityConfig().resolve_system(100.0).n_retained
+    path = tmp_path / "wide.csv"
+    save_csv(simulate_poisson([1.0] * (L + 1), 100.0, seed=2), path)
+    assert run(["test-stationarity", path, "--out", tmp_path / "out"]) == 2
+    assert f"p={L + 1} streams exceed the L={L} eigen-wavelets" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_coherence_is_numerical_error(tmp_path, capsys):
     # T = 1e-300 leaves Omega finite (its diagonal near 1e291) but |Omega_ij|^2
@@ -546,9 +558,10 @@ def test_non_finite_study_summary_is_numerical_error(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's corrcoef of one sample
+@pytest.mark.filterwarnings("error")
 def test_failed_study_leaves_no_output(tmp_path, capsys):
-    # one replicate gives a NaN QQ correlation: the draws exist, the summary does not serialise
-    assert run(["reproduce", "qq-cwt", "--replicates", 1, "--out", tmp_path / "out"]) == 4
-    assert "not finite" in capsys.readouterr().err
+    # one replicate had given a NaN QQ correlation, numpy's warnings and exit 4; it is
+    # refused before any draw
+    assert run(["reproduce", "qq-cwt", "--replicates", 1, "--out", tmp_path / "out"]) == 2
+    assert "parameter 'replicates'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

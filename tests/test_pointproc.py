@@ -417,6 +417,16 @@ class TestCsvLimits:
         stream = load_csv(path)
         assert stream.p == pointproc.MAX_STREAMS and stream.counts().sum() == 1
 
+    def test_row_count_capped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pointproc, "MAX_EXPECTED_EVENTS", 3)
+        path = tmp_path / "long.csv"
+        path.write_text("# p=1 T=10.0\n1,1.0\n1,2.0\n\n1,3.0\n")
+        assert load_csv(path).counts().tolist() == [3]
+        with open(path, "a") as fh:
+            fh.write("1,4.0\n")
+        with pytest.raises(ParseError, match="line 6: more than 3 events"):
+            load_csv(path)
+
     def test_malformed_header_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# p=two T=10.0\n1,1.0\n")

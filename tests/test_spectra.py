@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eventspec import (ConfigError, EventStream, FieldConfig, NumericalError,
                        RegionError, SmoothedKernel, SmoothingWindow,
                        UndefinedCoherenceError, Wavelet,
-                       coherence, cwt, denormalize_coords, eigen_cwt, eigensystem,
+                       coherence, cwt, denormalize_coords, eigensystem,
                        eigensystem_cached, field, nystrom_decompose, simulate_poisson,
                        smoothed_periodogram_eigen)
 from eventspec import spectra
@@ -131,7 +131,7 @@ class TestSmoothedPeriodogram:
         kern, T, a = kernel_of(morlet_sys10), 100.0, 2.0
         s = simulate_poisson([1.0, 1.0], T, seed=3)
         run = {"cwt": lambda b: cwt(s, kern.wavelet, a, b),
-               "eigen": lambda b: eigen_cwt(s, morlet_sys10, a, b),
+               "eigen": lambda b: smoothed_periodogram_eigen(s, morlet_sys10, a, b),
                "direct": lambda b: smoothed_periodogram_direct(s, kern, a, b)}[route]
         half = a * (kern.wavelet.alpha if route == "cwt" else kern.width) / 2.0
         for b in (half, T - half):
@@ -527,13 +527,13 @@ class TestEigenTransforms:
         # a support without events gives exactly zero on both routes
         assert np.array_equal(got == 0, ref == 0)
 
-    def test_one_point_case_is_eigen_cwt(self, morlet_sys10):
+    def test_one_point_case_matches_the_batch(self, morlet_sys10):
         s = simulate_poisson([2.0, 2.0, 1.0], 100.0, seed=8)
         b_grid = np.array([30.0, 50.0, 61.5])
         batch = spectra.eigen_transforms(s.events, morlet_sys10, 2.5, b_grid)
         omega = spectra.eigen_expansion(batch, morlet_sys10.retained_eigenvalues)
         for k, b in enumerate(b_grid):
-            v = eigen_cwt(s, morlet_sys10, 2.5, b)
+            v = spectra.eigen_transforms(s.events, morlet_sys10, 2.5, [b])[0]
             om = smoothed_periodogram_eigen(s, morlet_sys10, 2.5, b)
             assert np.linalg.norm(batch[k] - v) <= 1e-14 * np.linalg.norm(v)
             assert np.linalg.norm(omega[k] - om) <= 1e-14 * np.linalg.norm(om)
