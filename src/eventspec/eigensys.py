@@ -11,15 +11,17 @@ a value: it keeps the kernel's settings and grid, its L retained eigenvector col
 eigenvalue sum is zero or not finite, or whose degrees of freedom are not finite,
 raises NumericalError where it is built.
 
-Eigen-wavelet envelopes are kept as (n_knots + 2, L) cubic B-spline coefficients of
-the periodic cubic spline through their 8x FFT refinement. One FFT pass builds them: the
-zero-padded spectrum divided by the B-spline symbol (4 + 2 cos w)/6 (Unser 1999, IEEE
-Signal Proc. Mag. 16(6)); a table above MAX_TABLE_BYTES is a ConfigError, and one that is
-not finite a NumericalError. A value on interval i is sum_k c_{i+k} B_k(t) over the 4
-uniform B-spline pieces, times the phase e^{i 2 pi f x} of a modulated wavelet, attached
-at evaluation so the interpolated envelope stays smooth. summed_wavelets_by_run sums the
-4 weights of every event of a run onto a coefficient grid per run, and all of a block's
-grids meet the table in one matrix product.
+Eigen-wavelets phi_l(x) = e^{i 2 pi f x} psi_l(x), phase included, are kept as (n_knots, L)
+quintic B-spline coefficients, complex for a complex wavelet and real otherwise. The
+envelope samples are refined m-fold by FFT, m the smallest power of two >= 4 with
+2 pi (|f| + 1) step / m <= 0.375 rad (at most 16), continued EDGE knots past each end,
+modulated at their knots and divided by the quintic B-spline symbol (33 + 26 cos w +
+cos 2w)/60 in one more FFT pass (Unser 1999, IEEE Signal Proc. Mag. 16(6)); a table above
+MAX_TABLE_BYTES is a ConfigError, and one that is not finite a NumericalError. A value on
+interval i is sum_k c_{i-2+k} B_k(t) over 6 real uniform B-spline weights, so evaluation
+never sees the modulation. summed_wavelets_by_run sums the 6 weights of every event of a
+run onto one coefficient grid row per run, and all of a block's rows meet the table,
+viewed as real pairs, in one matrix product.
 The Nystrom extension phi_l(x) = eta_l^(-1) sum_j w K(x, s_j) phi_l(s_j) the
 table approximates, sum_l eta_l |Phi_l(f)|^2 and the large-kappa closed form of n
 are test oracles (tests/oracles.py).
@@ -46,6 +48,11 @@ from .wavelets import DEFAULT_ALPHA, Wavelet
 DEFAULT_ENERGY_CUTOFF = 1.0 - 1e-6
 # Distinct systems kept by eigensystem(); criterion 4 cycles through six.
 SYSTEM_CACHE_SIZE = 32
+EDGE = 48  # refined knots the table continues past each end of the grid
+# B_k(t) * 120 of the uniform quintic B-spline on rows k = 0..5 from cell - 2, by power of t
+_QUINTIC = np.array([[1, -5, 10, -10, 5, -1], [26, -50, 20, 20, -20, 5],
+                     [66, 0, -60, 0, 30, -10], [26, 50, 20, -20, -20, 10],
+                     [1, 5, 10, 10, 5, -5], [0, 0, 0, 0, 0, 1]]) / 120.0
 
 
 class EigenSystem:
@@ -62,13 +69,12 @@ class EigenSystem:
     vectors : ndarray, shape (n_grid, n_retained)
         Envelope samples of the retained eigen-wavelets, orthonormal under
         the weighted inner product.
-    coefficients : ndarray, shape (n_knots + 2, L)
-        Cubic B-spline coefficients of the envelopes on the refined uniform knots.
+    coefficients : ndarray, shape (n_knots, L)
+        Quintic B-spline coefficients of the eigen-wavelets, phase included, on the
+        refined uniform knots; upsample is the refinement m.
     diagnostics : dict
         Kernel health: |trace - 1|, max|K - K^H|, retained energy, last eta kept.
     """
-
-    UPSAMPLE = 8  # refinement factor for the interpolation grid
 
     def __init__(self, kernel: SmoothedKernel, eigenvalues: np.ndarray,
                  vectors: np.ndarray, energy_cutoff: float, asymmetry: float):
@@ -96,10 +102,14 @@ class EigenSystem:
 
     def _spline_table(self):
         # Envelope samples decay to (numerically) zero at the support edges, so their periodic
-        # extension is smooth: zero-padding the spectrum refines them 8x, and dividing it by
-        # the cubic B-spline symbol (4 + 2 cos w)/6 gives the periodic cubic spline through
-        # the refined samples, free of the phase-scale resolution loss of the raw grid.
-        (n, n_ret), m = self.vectors.shape, self.UPSAMPLE
+        # extension is smooth: zero-padding the spectrum refines them m-fold. Continued EDGE
+        # knots past each end and modulated at their knots, the FFT division by the quintic
+        # B-spline symbol (33 + 26 cos w + cos 2w)/60 gives the spline through them; its
+        # wrap decays as 0.4306^k from the ends, below 1e-17 at the support.
+        (n, n_ret), f = self.vectors.shape, abs(self.modulation)
+        step, m = self.grid[1] - self.grid[0], 4
+        while m < 16 and 2.0 * np.pi * (f + 1.0) * step / m > 0.375:  # rad per refined step
+            m *= 2
         nbytes, kappa = 16 * n * m * n_ret, self.window.kappa
         if nbytes > MAX_TABLE_BYTES:
             raise ConfigError(f"the eigen-wavelet table at n_points={n}, kappa={kappa:g} needs "
@@ -110,17 +120,22 @@ class EigenSystem:
         padded[:half] = spec[:half]
         padded[-(n - half - 1):] = spec[half + 1:]
         padded[half] = padded[n * m - half] = 0.5 * spec[half]
-        padded *= (6.0 * m / (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n * m))))[:, None]
-        coef = np.fft.ifft(padded, axis=0)
-        del padded  # before the wrap copy below: two table-sized arrays at once, not three
-        if not np.iscomplexobj(self.vectors):
-            coef = coef.real
+        index = np.arange(-EDGE, n * m + EDGE)
+        samples = np.take(np.fft.ifft(padded, axis=0), index, axis=0, mode="wrap")
+        del padded
+        self.upsample, self._step = m, step / m
+        self._knots = self.grid[0] + self._step * index
+        if self.modulation != 0.0:
+            samples *= np.exp(2j * np.pi * self.modulation * self._knots)[:, None]
+        w = 2.0 * np.pi * np.fft.fftfreq(len(index))
+        samples = np.fft.fft(samples, axis=0)
+        samples *= (60.0 * m / (33.0 + 26.0 * np.cos(w) + np.cos(2.0 * w)))[:, None]
+        coef = np.fft.ifft(samples, axis=0)
+        if not np.iscomplexobj(self.vectors) and self.modulation == 0.0:
+            coef = coef.real.copy()
         if not np.all(np.isfinite(coef)):
             raise NumericalError("eigen-wavelet coefficients are not finite")
-        # knots from 4 refined steps before the grid to 4 past it; one more row at each end
-        self._step = (self.grid[1] - self.grid[0]) / m
-        self._knots = self.grid[0] + self._step * np.arange(-4, n * m + 4)
-        self.coefficients = np.take(coef, np.arange(-5, n * m + 5), axis=0, mode="wrap")
+        self.coefficients = coef
 
     @property
     def retained_eigenvalues(self) -> np.ndarray:
@@ -137,49 +152,45 @@ class EigenSystem:
     # -- evaluation -----------------------------------------------------
 
     def _basis(self, x):
-        # support mask; for the n points inside, the index of each one's first of 4
-        # coefficient rows and the re and im (2, 4, n) of weights e^{i 2 pi f x} B_k(t).
+        # support mask; for the n points inside, the index of each one's first of 6
+        # coefficient rows and the (6, n) weights B_k(t)/120 of the quintic pieces.
         x = np.asarray(x, dtype=float)
         inside = np.abs(x) < self.width / 2.0
         x = x[inside]
-        first = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
-        np.clip(first, 0, len(self.coefficients) - 4, out=first)
-        t = x - self._knots[first]  # from the left knot: an exact difference
+        cell = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
+        np.clip(cell, 2, len(self._knots) - 4, out=cell)
+        t = x - self._knots[cell]  # from the left knot: an exact difference
         t /= self._step
-        u = 1.0 - t
-        basis = np.empty((4, t.size))  # 6 B_k(t): u^3, 4 - 3 t^2 (1 + u), 4 - 3 u^2 (1 + t), t^3
-        np.multiply(u, u, out=basis[0])
-        np.multiply(t, t, out=basis[3])
-        np.multiply(basis[3], -3.0 - 3.0 * u, out=basis[1])
-        np.multiply(basis[0], -3.0 - 3.0 * t, out=basis[2])
-        basis[1:3] += 4.0
-        basis[0] *= u
-        basis[3] *= t
-        theta = x * (2.0 * np.pi * self.modulation)
-        phase = np.array([np.cos(theta), np.sin(theta)]) / 6.0
-        return inside, first, phase[:, None, :] * basis
+        powers = np.empty((5, t.size))  # t .. t^5
+        powers[0] = t
+        np.multiply(t, t, out=powers[1])
+        np.multiply(powers[1], t, out=powers[2])
+        np.multiply(powers[1], powers[1], out=powers[3])
+        np.multiply(powers[3], t, out=powers[4])
+        weights = _QUINTIC[:, 1:] @ powers
+        weights += _QUINTIC[:, :1]
+        return inside, cell - 2, weights
 
     def eigen_wavelets_at(self, x: np.ndarray) -> np.ndarray:
-        """Eigen-wavelet values, phase attached, shape (len(x), L); 0 off the support."""
+        """Eigen-wavelet values, phase included, shape (len(x), L); 0 off the support."""
         inside, first, weights = self._basis(x)
         vals = np.zeros((inside.size, self.n_retained), dtype=complex)
-        rows = self.coefficients[first[:, None] + np.arange(4)]  # (n, 4, L)
-        vals[inside] = np.einsum("kn,nkl->nl", weights[0] + 1j * weights[1], rows)
+        rows = self.coefficients[first[:, None] + np.arange(6)]  # (n, 6, L)
+        vals[inside] = np.einsum("kn,nkl->nl", weights, rows)
         return vals
 
     def summed_wavelets_by_run(self, x: np.ndarray, ends) -> np.ndarray:
         """Each run's eigen_wavelets_at(x[ends[k-1]:ends[k]]).sum(axis=0), shape (len(ends), L).
 
-        ends[-1] = 0. bincount sums every weight onto a (runs, 2, n_coef) grid, which
-        meets the whole table in one matrix product."""
+        ends[-1] = 0. bincount sums every weight onto one (runs, n_coef) grid, which meets
+        the whole table, viewed as (n_coef, 2L) reals when complex, in one matrix product."""
         inside, first, weights = self._basis(x)
         n_runs, n_coef = len(ends), len(self.coefficients)
         run = np.repeat(np.arange(n_runs), np.diff(ends, prepend=0))[inside]
-        slots = (2 * n_coef * run + first) + (n_coef * np.arange(2)[:, None, None]
-                                              + np.arange(4)[:, None])
-        grid = np.bincount(slots.ravel(), weights.ravel(), minlength=2 * n_runs * n_coef)
-        sums = (grid.reshape(2 * n_runs, n_coef) @ self.coefficients).reshape(n_runs, 2, -1)
-        return sums[:, 0] + 1j * sums[:, 1]
+        slots = (n_coef * run + first) + np.arange(6)[:, None]
+        grid = np.bincount(slots.ravel(), weights.ravel(), minlength=n_runs * n_coef)
+        sums = grid.reshape(n_runs, n_coef) @ self.coefficients.view(float)
+        return sums.view(complex) if np.iscomplexobj(self.coefficients) else sums + 0j
 
     def __repr__(self) -> str:
         return (f"EigenSystem({self.wavelet.label}, {self.window.kind.value}, "

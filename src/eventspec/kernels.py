@@ -37,7 +37,7 @@ from .wavelets import Wavelet
 CELL_QUAD_POINTS = 4        # Gauss-Legendre nodes per cell of the grid rule
 DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 4096      # the kernel matrix alone is 128 MB at this size
-MAX_TABLE_BYTES = 1 << 28   # the table build's (8 n_points, L) complex spectrum; peak ~3x
+MAX_TABLE_BYTES = 1 << 28   # the table build's (m n_points, L) complex spectrum; peak ~3x
 MAX_FIELD_BYTES = 1 << 30   # field()'s complex (n_a, n_b, p, p) omega; gamma2 adds half
 
 
@@ -182,9 +182,10 @@ def _cell_factors(kern: "SmoothedKernel", point_sets: list):
         for pts, block in zip(point_sets, blocks):
             for r in range(0, u.size, chunk):
                 c = slice(r, r + chunk)
-                np.multiply(np.where(np.abs(pts - mid[c]) < half,
-                                     kern.wavelet.envelope_smooth(pts - u[c, None]), 0.0),
-                            root[c], out=block[c])
+                inside = np.abs(pts - mid[c]) < half  # the only pairs the envelope sees
+                block[c] = 0.0
+                block[c][inside] = kern.wavelet.envelope_smooth((pts - u[c, None])[inside])
+                block[c] *= root[c]
             block.flags.writeable = False
         yield blocks
 

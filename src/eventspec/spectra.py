@@ -4,11 +4,12 @@ The temporally smoothed wavelet periodogram Omega(a, b) is the multi-wavelet
 expansion sum_l eta_l v_l v_l^H (eigen_expansion) of the transforms v_l under
 the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a translation
 grid; field() and stationarity_tests call it once per scale, and
-smoothed_periodogram_eigen at one point. It sums the 8 weights of each of a scale's
-(point, event) pairs onto a coefficient grid per (point, stream) run, and one matrix
-product per block of runs meets the whole coefficient table, so the L-wide work does
-not grow with the pairs. Omega's definition, the kernel double sum over event pairs,
-is the direct route of the test oracles (tests/oracles.py); the two agree to
+smoothed_periodogram_eigen at one point. It sums the 6 real quintic B-spline weights of
+each of a scale's (point, event) pairs onto one coefficient grid row per (point, stream)
+run, and one matrix product per block of runs meets the whole coefficient table, whose
+rows carry the wavelet's phase: no pair evaluates a sine or cosine, and the L-wide work
+does not grow with the pairs. Omega's definition, the kernel double sum over event
+pairs, is the direct route of the test oracles (tests/oracles.py); the two agree to
 interpolation accuracy.
 
 cwt and smoothed_periodogram_eigen raise RegionError for a support outside (0, T];
@@ -68,8 +69,9 @@ def eigen_transforms(events, system: EigenSystem, a: float, b_grid) -> np.ndarra
     events are sorted event-time arrays (as EventStream.events). Binary searches find
     every point's events in its support, per array: a run of (point, event) pairs per
     (point, array). EigenSystem.summed_wavelets_by_run sums the runs in blocks of at least
-    one run and at most PAIR_BLOCK // 32 pairs (about 32 values of weights and indices
-    each) and PAIR_BLOCK // (2 n_coef) runs (its grid), so no scale holds all its pairs.
+    one run and at most PAIR_BLOCK // 32 pairs (about 17 values of weights, indices and
+    temporaries each) and PAIR_BLOCK // n_coef runs (its grid rows), so no scale holds all
+    its pairs.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     half = a * system.width / 2.0
@@ -82,7 +84,7 @@ def eigen_transforms(events, system: EigenSystem, a: float, b_grid) -> np.ndarra
     first, counts = (lo + offsets).ravel(), (hi - lo).ravel()
     b_runs = np.repeat(b_grid, len(events))
     ends = np.cumsum(counts)
-    max_pairs, max_runs = PAIR_BLOCK // 32, PAIR_BLOCK // (2 * len(system.coefficients))
+    max_pairs, max_runs = PAIR_BLOCK // 32, PAIR_BLOCK // len(system.coefficients)
     out = np.empty((counts.size, n_ret), dtype=complex)
     start = 0
     while start < counts.size:

@@ -46,12 +46,13 @@ def rng():
 
 @pytest.fixture(scope="session")
 def spline_oracle():
-    """Eigen-wavelet values from scipy's periodic CubicSpline through a system's refined samples.
+    """Eigen-wavelet values from scipy's quintic interpolating spline through a system's
+    refined, continued and phased samples.
 
-    The reference for the table evaluator: the same cubic pieces, evaluated
-    point by point by PPoly, zero on and outside the support edge.
+    The reference for the table evaluator: the same quintic pieces, evaluated
+    point by point by BSpline, zero on and outside the support edge.
     """
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import make_interp_spline
 
     from oracles import refined_samples
 
@@ -60,11 +61,11 @@ def spline_oracle():
     def values(system, x):
         x = np.asarray(x, dtype=float)
         if system not in splines:
-            splines[system] = CubicSpline(*refined_samples(system), bc_type="periodic")
+            splines[system] = make_interp_spline(*refined_samples(system), k=5)
         half = system.width / 2.0
         vals = splines[system](np.clip(x, -half, half)).astype(complex)
         vals[np.abs(x) >= half] = 0.0
-        return vals * np.exp(2j * np.pi * system.modulation * x)[:, None]
+        return vals
 
     return values
 

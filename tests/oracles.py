@@ -8,6 +8,7 @@ from scipy.special import erf
 
 from eventspec import (EigenSystem, EventStream, SmoothedKernel, SmoothingWindow,
                        ValidationError, ValidRegion, Wavelet, WindowKind)
+from eventspec.eigensys import EDGE
 from eventspec.kernels import CELL_QUAD_POINTS, DEFAULT_GRID_POINTS, _cell_factors, _gauss_legendre
 from eventspec.quadrature import simpson_rule
 from eventspec.spectra import _require_inside, cwt
@@ -176,15 +177,9 @@ def eigen_wavelet_value(system: EigenSystem, l: int, x) -> complex | np.ndarray:
     return out
 
 
-def refined_samples(system: EigenSystem):
-    """Knots and envelope samples of a system refined 8x by FFT, over one period.
-
-    The envelopes' periodic extension, trigonometrically interpolated: n * UPSAMPLE
-    samples from the first grid point, plus the closing sample (equal to the first)
-    one period on, as a periodic CubicSpline takes them.
-    """
+def _fft_refined(system: EigenSystem, m: int) -> np.ndarray:
+    """A system's envelope samples refined m-fold by zero-padding their spectrum, one period."""
     n = system.grid.size
-    m = system.UPSAMPLE
     spec = np.fft.fft(system.vectors, axis=0)
     half = n // 2
     padded = np.zeros((n * m, system.vectors.shape[1]), dtype=complex)
@@ -193,11 +188,58 @@ def refined_samples(system: EigenSystem):
     padded[half] = 0.5 * spec[half]
     padded[n * m - half] = 0.5 * spec[half]
     fine = np.fft.ifft(padded, axis=0) * m
-    if not np.iscomplexobj(system.vectors):
-        fine = fine.real
-    step = (system.grid[1] - system.grid[0]) / m
-    x = system.grid[0] + step * np.arange(n * m + 1)
-    return x, np.concatenate([fine, fine[:1]])
+    return fine if np.iscomplexobj(system.vectors) else fine.real
+
+
+def refined_samples(system: EigenSystem):
+    """Knots and samples the eigen-wavelet table interpolates.
+
+    The envelopes refined system.upsample-fold by FFT, continued periodically EDGE knots
+    past each end of the grid, times the phase e^{i 2 pi f x} at each knot; an interpolating
+    quintic spline through them is the table's reference.
+    """
+    m = system.upsample
+    fine = _fft_refined(system, m)
+    index = np.arange(-EDGE, len(fine) + EDGE)
+    x = system.grid[0] + (system.grid[1] - system.grid[0]) / m * index
+    samples = fine[index % len(fine)]
+    if system.modulation != 0.0:
+        samples = samples * np.exp(2j * np.pi * system.modulation * x)[:, None]
+    return x, samples
+
+
+def cubic_envelope_values(system: EigenSystem, x) -> np.ndarray:
+    """Eigen-wavelet values from the cubic envelope table the quintic phased one replaced.
+
+    The periodic CubicSpline through the envelopes refined 8x by FFT, zero on and outside
+    the support edge, times the phase e^{i 2 pi f x} attached at each point.
+    """
+    from scipy.interpolate import CubicSpline
+
+    x = np.asarray(x, dtype=float)
+    fine = _fft_refined(system, 8)
+    knots = system.grid[0] + (system.grid[1] - system.grid[0]) / 8 * np.arange(len(fine) + 1)
+    spline = CubicSpline(knots, np.concatenate([fine, fine[:1]]), bc_type="periodic")
+    half = system.width / 2.0
+    vals = spline(np.clip(x, -half, half)).astype(complex)
+    vals[np.abs(x) >= half] = 0.0
+    return vals * np.exp(2j * np.pi * system.modulation * x)[:, None]
+
+
+def band_limited_values(system: EigenSystem, x) -> np.ndarray:
+    """The grid samples' trigonometric interpolant at x, times the phase e^{i 2 pi f x}.
+
+    The zero-padded DFT evaluated at x (the Nyquist term split as the refinement splits
+    it), which every FFT refinement of the samples approximates.
+    """
+    x = np.asarray(x, dtype=float)
+    n = system.grid.size
+    periods = (x - system.grid[0]) / (n * (system.grid[1] - system.grid[0]))
+    terms = np.exp(2j * np.pi * np.outer(periods, np.fft.fftfreq(n, 1.0 / n)))
+    if n % 2 == 0:
+        terms[:, n // 2] = np.cos(np.pi * n * periods)
+    vals = terms @ np.fft.fft(system.vectors, axis=0) / n
+    return vals * np.exp(2j * np.pi * system.modulation * x)[:, None]
 
 
 def effective_frequency_response(system: EigenSystem, f) -> np.ndarray | float:

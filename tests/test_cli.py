@@ -565,3 +565,62 @@ def test_failed_study_leaves_no_output(tmp_path, capsys):
     assert run(["reproduce", "qq-cwt", "--replicates", 1, "--out", tmp_path / "out"]) == 2
     assert "parameter 'replicates'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _events_file(path, p, T, events):
+    path.write_text(f"# p={p} T={T!r}\n" + "".join(f"{i},{t!r}\n" for i, t in events))
+    return path
+
+
+def _stationarity_rank_bound(tmp_path):
+    T = 1500.0
+    p = inference.StationarityConfig().resolve_system(T).n_retained + 1
+    events = [(i, t) for i in range(1, p + 1) for t in (100.0, 700.0, 1200.0)]
+    return ["test-stationarity", _events_file(tmp_path / "ev.csv", p, T, events)]
+
+
+def _coherence_at_horizon(T):
+    def argv(tmp_path):
+        events = [(1, 0.2 * T), (1, 0.5 * T), (2, 0.3 * T), (2, 0.6 * T)]
+        return ["coherence", _events_file(tmp_path / "ev.csv", 2, T, events)]
+    return argv
+
+
+def _near_critical_hawkes(tmp_path):
+    cfg = tmp_path / "hawkes.json"
+    cfg.write_text(json.dumps({"params": {"nu": [0.01], "alpha": [[0.999]], "beta": [[1.0]]}}))
+    return ["simulate", "--kind", "hawkes", "--T", 1e4, "--seed", 1, "--config", cfg]
+
+
+EXTREME_INPUTS = {
+    "p = L + 1": _stationarity_rank_bound,
+    "p = 8192 declared": lambda tmp_path: ["test-stationarity", _events_file(
+        tmp_path / "ev.csv", 8192, 100.0, [(1, 10.0), (2, 20.0), (8192, 30.0)])],
+    "T = 1e300": _coherence_at_horizon(1e300),
+    "T = 1e-300": _coherence_at_horizon(1e-300),
+    "near-critical Hawkes": _near_critical_hawkes,
+    "eigs kappa 504": lambda tmp_path: ["eigs", "--kappa", 504],
+}
+
+
+@pytest.mark.parametrize("name", list(EXTREME_INPUTS))
+def test_extreme_input_ends_in_a_documented_exit(tmp_path, name):
+    # a fresh CLI process under a 2 GB address-space limit and a timeout: every row ends
+    # in a documented exit code (0, 2, 3 or 4) without a traceback
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import eventspec
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = [*EXTREME_INPUTS[name](tmp_path), "--out", tmp_path / "out"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eventspec.__file__)))
+    done = subprocess.run([sys.executable, "-m", "eventspec.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit,
+                          env=env, cwd=tmp_path)
+    assert done.returncode in (0, 2, 3, 4), done.stderr
+    assert "Traceback" not in done.stderr

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from eventspec import (ConfigError, EigenSystem, NumericalError, SmoothedKernel,
-                       SmoothingWindow, ValidationError, Wavelet, eigensystem,
-                       eigensystem_cached, eigensys, nystrom_decompose)
+                       SmoothingWindow, StationarityConfig, ValidationError, Wavelet,
+                       eigensystem, eigensystem_cached, eigensys, nystrom_decompose, spectra)
 from eventspec.studies import run_qq_coherence
 from eventspec.quadrature import simpson_rule
-from oracles import (dof_closed_form, effective_frequency_response, eigen_wavelet_value,
-                     full_kernel_matrix, kernel_of, rank_one_kernel, refined_samples,
-                     unfactorized_kernel, value_matrix)
+from oracles import (band_limited_values, cubic_envelope_values, dof_closed_form,
+                     effective_frequency_response, eigen_wavelet_value, full_kernel_matrix,
+                     kernel_of, rank_one_kernel, refined_samples, unfactorized_kernel,
+                     value_matrix)
 
 
 class TestDecomposition:
@@ -231,18 +232,78 @@ class TestEigensystemCache:
         assert retained <= bound
 
 
+def tabulated_complex_system():
+    t = np.linspace(-3.0, 3.0, 97)
+    wavelet = Wavelet.tabulated(t, np.exp(-t**2) * np.exp(3j * t))
+    assert wavelet.is_complex and wavelet.modulation == 0.0
+    return eigensystem(wavelet, SmoothingWindow.rectangular(4.0), 128)
+
+
 @pytest.fixture(scope="module", params=["morlet", "mexhat", "tabulated-complex"])
 def table_system(request):
     if request.param == "tabulated-complex":
-        t = np.linspace(-3.0, 3.0, 97)
-        wavelet = Wavelet.tabulated(t, np.exp(-t**2) * np.exp(3j * t))
-        assert wavelet.is_complex and wavelet.modulation == 0.0
-        return eigensystem(wavelet, SmoothingWindow.rectangular(4.0), 128)
+        return tabulated_complex_system()
     return eigensystem_cached(request.param, 10.0)
 
 
+# the systems the benchmark's workloads build, the tabulated complex fixture and one
+# whose grid step needs a refinement above 4
+ACCURACY_SYSTEMS = {
+    "cli-coherence": lambda: eigensystem_cached("morlet", 10.0, energy_cutoff=0.999),
+    "mc-hawkes-coherence": lambda: eigensystem_cached("morlet", 20.0),
+    "mc-stationarity-size": lambda: StationarityConfig(kappa=6.0).resolve_system(1500.0),
+    "tabulated-complex": tabulated_complex_system,
+    "morlet-kappa-100": lambda: eigensystem_cached("morlet", 100.0),
+}
+
+
+class TestTableAccuracy:
+    """The table against the band-limited interpolant of the grid samples it refines."""
+
+    @pytest.mark.parametrize("name", list(ACCURACY_SYSTEMS))
+    def test_more_accurate_than_the_cubic_envelope_table(self, name):
+        # max over points and modes of |error| / the mode's largest sample; the cubic
+        # envelope table with its phase attached per point (the construction this one
+        # replaced) reads 2.2x (mc-stationarity-size) to 20x (kappa 100) the error
+        system = ACCURACY_SYSTEMS[name]()
+        half = system.width / 2.0
+        x = np.random.default_rng(3).uniform(-half, half, 3000)
+        ref = band_limited_values(system, x)
+        scale = np.abs(system.vectors).max(axis=0)
+        error = (np.abs(system.eigen_wavelets_at(x) - ref) / scale).max()
+        cubic = (np.abs(cubic_envelope_values(system, x) - ref) / scale).max()
+        assert error <= 0.5 * cubic
+
+    @pytest.mark.parametrize("kind, kappa, m", [("morlet", 10.0, 4), ("morlet", 100.0, 8),
+                                                ("morlet", 200.0, 16), ("mexhat", 20.0, 4)])
+    def test_refinement_is_derived_from_the_step(self, kind, kappa, m):
+        # the smallest power of two >= 4 with 2 pi (|f| + 1) step / m <= 0.375 rad
+        system = eigensystem_cached(kind, kappa)
+        step = system.grid[1] - system.grid[0]
+        assert system.upsample == m
+        assert 2.0 * np.pi * (abs(system.modulation) + 1.0) * step / m <= 0.375
+        assert m == 4 or 2.0 * np.pi * (abs(system.modulation) + 1.0) * step / m > 0.375 / 2
+        assert system._step == pytest.approx(step / m, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["morlet", "mexhat"])
+    def test_no_phase_is_evaluated_per_pair(self, monkeypatch, kind):
+        # the phase is in the table: complex for the Morlet, real for the Mexican hat
+        system = eigensystem_cached(kind, 10.0)
+        assert system.coefficients.dtype == (complex if kind == "morlet" else float)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a phase evaluated per pair")
+
+        for name in ("cos", "sin", "exp"):
+            monkeypatch.setattr(np, name, refuse)
+        x = np.linspace(-9.5, 9.5, 41)
+        system.eigen_wavelets_at(x)
+        assert system.summed_wavelets_by_run(x, [20, x.size]).dtype == complex
+        spectra.eigen_transforms([np.linspace(1.0, 99.0, 300)], system, 2.0, [50.0])
+
+
 class TestTableEvaluator:
-    """The coefficient table against PPoly on the same cubic pieces."""
+    """The coefficient table against BSpline on the same quintic pieces."""
 
     @staticmethod
     def probes(system):
@@ -286,32 +347,36 @@ class TestTableEvaluator:
 
 
 class TestNotAKnotTable:
-    """The B-spline coefficient table against scipy's periodic CubicSpline on the same samples.
+    """The B-spline coefficient table against scipy's quintic spline on the same samples.
 
-    The refined samples come from the FFT refinement in tests/oracles.py. scipy's BSpline
-    evaluates the table on the uniform knot vector it implies (3 knots beyond each end),
-    independently of the package's own evaluator; the class is named for the not-a-knot
-    construction the periodic one replaced.
+    The refined, continued and phased samples come from tests/oracles.py. scipy's BSpline
+    evaluates the table on the uniform knot vector it implies (3 knots beyond each
+    coefficient's centre), independently of the package's own evaluator, and
+    make_interp_spline's not-a-knot ends differ from the table's FFT prefilter only within
+    a few knots of the ends, EDGE knots away from the support it is compared on. The class
+    and test names are those of the cubic tables this one replaced.
     """
 
     @staticmethod
-    def assert_matches_cubic_spline(system):
-        from scipy.interpolate import BSpline, CubicSpline
+    def assert_matches_quintic_spline(system):
+        from scipy.interpolate import BSpline, make_interp_spline
         knots, coef, step = system._knots, system.coefficients, system._step
-        assert coef.shape == (len(knots) + 2, system.n_retained)
-        table = BSpline(knots[0] + step * np.arange(-3, len(coef) + 1), coef, 3)
+        assert coef.shape == (len(knots), system.n_retained)
+        table = BSpline(knots[0] + step * np.arange(-3, len(coef) + 3), coef, 5)
+        half = system.width / 2.0
+        inside = knots[np.abs(knots) <= half]
         rng = np.random.default_rng(5)
-        x = np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1]),
-                            rng.uniform(knots[0], knots[-1], 1000)])
-        ref = CubicSpline(*refined_samples(system), bc_type="periodic")(x)
+        x = np.concatenate([inside, 0.5 * (inside[1:] + inside[:-1]),
+                            rng.uniform(-half, half, 1000)])
+        ref = make_interp_spline(*refined_samples(system), k=5)(x)
         assert np.abs(table(x) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_matches_cubic_spline(self, table_system):
-        self.assert_matches_cubic_spline(table_system)
+        self.assert_matches_quintic_spline(table_system)
 
     @pytest.mark.parametrize("kappa", [5.0, 20.0])
     def test_matches_cubic_spline_morlet(self, kappa):
-        self.assert_matches_cubic_spline(eigensystem_cached("morlet", kappa))
+        self.assert_matches_quintic_spline(eigensystem_cached("morlet", kappa))
 
     def test_nan_sample_is_numerical_error(self, morlet_sys10):
         vectors = morlet_sys10.vectors.copy()
@@ -325,10 +390,10 @@ class TestNotAKnotTable:
         def refuse(*args, **kwargs):
             raise AssertionError("FFT run above the byte limit")
 
-        monkeypatch.setattr(eigensys, "MAX_TABLE_BYTES", 1 << 19)
+        nbytes = 16 * 512 * morlet_sys10.upsample * morlet_sys10.n_retained
+        monkeypatch.setattr(eigensys, "MAX_TABLE_BYTES", nbytes - 1)
         monkeypatch.setattr(eigensys.np.fft, "fft", refuse)
         monkeypatch.setattr(eigensys.np.fft, "ifft", refuse)
-        nbytes = 16 * 512 * 8 * morlet_sys10.n_retained
         with pytest.raises(ConfigError, match=rf"n_points=512, kappa=10 needs {nbytes} bytes"):
             EigenSystem(kernel_of(morlet_sys10), morlet_sys10.eigenvalues, morlet_sys10.vectors,
                         morlet_sys10.energy_cutoff, 0.0)

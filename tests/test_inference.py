@@ -410,6 +410,29 @@ def test_rejection_rate_counts_only_defined_p_values():
     assert rates == [float(np.mean(pvals[defined[:, j], j] < 0.05)) for j in range(3)]
 
 
+def test_test_size_ks_reference_builds_no_frozen_chi2(monkeypatch):
+    # the KS reference CDF is chdtr(dof, .), which chi2(dof).cdf evaluates: the same
+    # p-values, without building a frozen distribution (~0.3 ms) for each scale
+    from types import SimpleNamespace
+
+    from eventspec import studies
+    dofs = (4, 12, 28)
+    stats = np.random.default_rng(2).chisquare(dofs, size=(60, 3))
+    stats[5, 2] = np.nan  # an excluded replicate
+    ref = [sstats.kstest(column[~np.isnan(column)], sstats.chi2(dof).cdf).pvalue
+           for column, dof in zip(stats.T, dofs)]
+    first = SimpleNamespace(meta={"dof_n": 10.0}, scales=[SimpleNamespace(dof=d) for d in dofs])
+    monkeypatch.setattr(studies, "_lrt_replicates",
+                        lambda *args: (stats, None, [0.05, 0.05, 0.05], first))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frozen chi2 built")
+
+    monkeypatch.setattr(sstats, "chi2", refuse)
+    out, _ = studies.run_test_size(replicates=60)
+    assert out["chi2_ks_p"] == ref
+
+
 class TestBatchedStationarityTests:
     """stationarity_tests over batches of 1 to 3 replicates of the rates-0.2, T = 100
     design, where some replicates exclude j = 3, against one-at-a-time calls."""

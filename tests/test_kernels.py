@@ -224,6 +224,25 @@ class TestGridMatrix:
         with pytest.raises(ValueError):
             kept[0][0, 0] = 0.0
 
+    def test_envelope_is_evaluated_only_inside_the_support(self, monkeypatch, morlet, rect10):
+        # about 55 % of a kappa = 10 grid build's (node, point) pairs lie outside the
+        # wavelet support; masking after the envelope had evaluated every pair
+        evaluated, nodes = [], []
+        envelope, density = Wavelet.envelope_smooth, SmoothingWindow.density
+
+        def counted_envelope(self, t):
+            evaluated.append(np.size(t))
+            return envelope(self, t)
+
+        def counted_density(self, u):
+            nodes.append(np.size(u))
+            return density(self, u)
+
+        monkeypatch.setattr(Wavelet, "envelope_smooth", counted_envelope)
+        monkeypatch.setattr(SmoothingWindow, "density", counted_density)
+        kern = SmoothedKernel(morlet, rect10)
+        assert 0 < sum(evaluated) < 0.5 * sum(nodes) * kern.n_points
+
     def test_build_traced_peak(self, morlet, rect10, traced_peak):
         # one reused 4 MB block buffer filled a few rows at a time; eight block-sized
         # temporaries at once had held 28.2 MiB for this 2 MiB matrix

@@ -508,8 +508,8 @@ def sweep_cases(draw):
 
 def block_sizes(system):
     """PAIR_BLOCK values: a limit of 1 pair and no run, so each block is one run; and
-    2 runs with n_coef // 8 pairs, so blocks are limited by runs."""
-    return {"1 pair": 32, "2 runs": 2 * len(system.coefficients) * 2}
+    2 runs with n_coef // 16 pairs, so blocks are limited by runs."""
+    return {"1 pair": 32, "2 runs": 2 * len(system.coefficients)}
 
 
 class TestEigenTransforms:
@@ -540,9 +540,9 @@ class TestEigenTransforms:
 
     def test_blocks_bound_the_pairs(self, morlet_sys10, monkeypatch):
         # unless a block is one run, it holds at most PAIR_BLOCK // 32 pairs and
-        # PAIR_BLOCK // (2 n_coef) runs
+        # PAIR_BLOCK // n_coef runs
         system = morlet_sys10
-        block = 2 * len(system.coefficients) * 6  # 6 runs, and pairs for 8 runs of 180
+        block = len(system.coefficients) * 6  # 6 runs, and pairs for 9 runs of 45
         monkeypatch.setattr(spectra, "PAIR_BLOCK", block)
         blocks = []
         by_run = type(system).summed_wavelets_by_run
@@ -554,8 +554,8 @@ class TestEigenTransforms:
         monkeypatch.setattr(type(system), "summed_wavelets_by_run", record)
         s = simulate_poisson([10.0, 10.0], 100.0, seed=9)
         b_grid = np.linspace(30.0, 70.0, 40)
-        # about 180 events per support at a = 1 (limited by runs), 450 at a = 2.5 (by pairs)
-        for a, max_runs in ((1.0, 6), (2.5, 3)):
+        # about 45 events per support at a = 0.25 (limited by runs), 117 at a = 0.65 (by pairs)
+        for a, max_runs in ((0.25, 6), (0.65, 3)):
             blocks.clear()
             got = spectra.eigen_transforms(s.events, system, a, b_grid)
             assert all(runs == 1 or (runs <= 6 and pairs <= block // 32)
