@@ -11,7 +11,8 @@ covariance-equality likelihood ratio whose -2 log Lambda_j is asymptotically
 chi-squared with (2^j - 1) p^2 degrees of freedom per scale. stationarity_tests
 takes a batch of streams through one transform call and one batched-Cholesky
 LRT call per scale; stationarity_test is its one-stream case. A segment
-periodogram has rank at most L = n_retained, so p > L streams are refused.
+periodogram has rank at most L = n_retained, so p > L streams are refused, and
+so is a batch whose finest scale would pass kernels.MAX_LRT_BYTES.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .eigensys import EigenSystem, eigensystem
 from .errors import ConfigError, DegenerateSegmentError, ValidationError, json_text
-from .kernels import DEFAULT_GRID_POINTS, SmoothingWindow
+from .kernels import DEFAULT_GRID_POINTS, MAX_LRT_BYTES, SmoothingWindow
 from .pointproc import EventStream
 from .spectra import eigen_expansion, eigen_transforms
 from .wavelets import Wavelet
@@ -299,7 +300,8 @@ def stationarity_test(stream: EventStream,
 def stationarity_tests(streams, config: StationarityConfig | None = None
                        ) -> list[StationarityReport]:
     """stationarity_test of each stream; the streams share T and p (else ValidationError),
-    and p is at most the eigensystem's L (else ConfigError, before any transform).
+    p is at most the eigensystem's L and the finest scale fits MAX_LRT_BYTES (else
+    ConfigError, before any transform).
 
     Per scale: one eigen_transforms call over every stream and one lrt_statistic call
     over their (R, K, p, p) stack, retried a stream at a time if its Cholesky refuses,
@@ -317,6 +319,12 @@ def stationarity_tests(streams, config: StationarityConfig | None = None
         raise ConfigError(f"p={p} streams exceed the L={system.n_retained} eigen-wavelets "
                           f"retained at kappa_tilde={system.window.kappa:.6g}; "
                           "a wider window (larger kappa or c) retains more")
+    # the finest scale's (2^J R p, L) transforms live three times in eigen_expansion,
+    # beside its (R, 2^J, p, p) Omega and temporaries (tracemalloc)
+    nbytes = 16 * R * 2**config.J * p * (3 * system.n_retained + 2 * p)
+    if nbytes > MAX_LRT_BYTES:
+        raise ConfigError(f"p={p} streams, J={config.J} and R={R} replicates need about "
+                          f"{nbytes} bytes at the finest scale, above {MAX_LRT_BYTES}")
     wav = system.wavelet
     flavor = Flavor.of(wav)
     width = system.width

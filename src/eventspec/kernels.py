@@ -19,7 +19,8 @@ modulation frequency in that case so downstream eigendecompositions stay real.
 
 Memory: a grid build holds the n_points^2 matrix, one block of cells (at most 4 MB
 per real array, filled a few rows at a time into a reused buffer), its conjugate copy
-and their product; MAX_GRID_POINTS, MAX_TABLE_BYTES and MAX_FIELD_BYTES cap the rest.
+and their product; MAX_GRID_POINTS, MAX_TABLE_BYTES, MAX_FIELD_BYTES and MAX_LRT_BYTES
+cap the rest.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 4096      # the kernel matrix alone is 128 MB at this size
 MAX_TABLE_BYTES = 1 << 28   # the table build's (m n_points, L) complex spectrum; peak ~3x
 MAX_FIELD_BYTES = 1 << 30   # field()'s complex (n_a, n_b, p, p) omega; gamma2 adds half
+MAX_LRT_BYTES = 1 << 30     # stationarity_tests' finest scale: R 2^J p (3 L + 2 p) complex
 
 
 class WindowKind(enum.Enum):

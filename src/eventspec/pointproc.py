@@ -2,9 +2,11 @@
 
 Simulation covers homogeneous Poisson processes, exponential-kernel Hawkes
 processes (self and mutually exciting, simulated exactly from the Poisson
-cluster representation one generation at a time), and piecewise-stationary
-concatenations of independent Hawkes segments. Theoretical Bartlett
-spectra and coherences for these processes back the Monte-Carlo studies.
+cluster representation one generation at a time: one filter to (0, T] per
+stream and generation, empty parent sets skipped, which leaves the draws
+unchanged), and piecewise-stationary concatenations of independent Hawkes
+segments. Theoretical Bartlett spectra and coherences for these processes
+back the Monte-Carlo studies.
 """
 
 from __future__ import annotations
@@ -219,8 +221,11 @@ def simulate_poisson(rates, T: float, seed) -> EventStream:
     events = []
     for lam in rates:
         times = rng.uniform(0.0, T, rng.poisson(lam * T))
-        # strictly increasing (np.unique sorts) and inside (0, T]
-        events.append(np.unique(times[times > 0]))
+        times.sort()
+        # strictly increasing and inside (0, T]: np.unique only on a tie or a 0 draw
+        if times.size and (times[0] <= 0 or not (times[1:] > times[:-1]).all()):
+            times = np.unique(times[times > 0])
+        events.append(times)
     return EventStream(events, T)
 
 
@@ -232,24 +237,26 @@ def _simulate_hawkes_rng(params: HawkesParams, T: float,
     Poisson(alpha_ij / beta_ij) type-i children, each an Exp(beta_ij) delay
     after it (Hawkes & Oakes 1974). Children after T are dropped together
     with their descendants. Each generation is drawn in one vectorised step
-    per (i, j) pair; returns one sorted time array per stream.
+    per (i, j) pair and filtered once per stream; an empty parent set is
+    skipped, since its size-0 draws take nothing from rng, so the draws are
+    those of one step per pair. Returns one sorted time array per stream.
     """
-    p = params.p
-    branching = params.alpha / params.beta
+    branching = (params.alpha / params.beta).tolist()
+    scale = (1.0 / params.beta).tolist()
     # T - U(0, T) lies in (0, T], the half-open horizon of an EventStream
     generation = [T - rng.uniform(0.0, T, rng.poisson(nu * T)) for nu in params.nu]
     out = [[g] for g in generation]
     while any(g.size for g in generation):
-        children: list[list[np.ndarray]] = [[] for _ in range(p)]
+        children: list[list[np.ndarray]] = [[] for _ in generation]
         for j, parents in enumerate(generation):
-            for i in range(p):
-                counts = rng.poisson(branching[i, j], parents.size)
-                times = np.repeat(parents, counts) + rng.exponential(
-                    1.0 / params.beta[i, j], int(counts.sum()))
-                children[i].append(times[times <= T])
-        generation = [np.concatenate(c) for c in children]
-        for i in range(p):
-            out[i].append(generation[i])
+            if parents.size:
+                for i, kids in enumerate(children):
+                    times = parents.repeat(rng.poisson(branching[i][j], parents.size))
+                    times += rng.exponential(scale[i][j], times.size)
+                    kids.append(times)
+        generation = [g[g <= T] for g in map(np.concatenate, children)]
+        for o, g in zip(out, generation):
+            o.append(g)
     return [np.sort(np.concatenate(o)) for o in out]
 
 

@@ -333,6 +333,27 @@ class ScaledWavelet:
     __call__ = evaluate
 
 
+def hawkes_per_pair_filter(params, T: float, rng: np.random.Generator) -> list:
+    """The cluster simulator's earlier loop: filter to (0, T] after every (i, j) step and
+    draw for every parent set, empty ones too. pointproc._simulate_hawkes_rng must make the
+    same draws."""
+    branching = params.alpha / params.beta
+    generation = [T - rng.uniform(0.0, T, rng.poisson(nu * T)) for nu in params.nu]
+    out = [[g] for g in generation]
+    while any(g.size for g in generation):
+        children = [[] for _ in range(params.p)]
+        for j, parents in enumerate(generation):
+            for i in range(params.p):
+                counts = rng.poisson(branching[i, j], parents.size)
+                times = np.repeat(parents, counts) + rng.exponential(
+                    1.0 / params.beta[i, j], int(counts.sum()))
+                children[i].append(times[times <= T])
+        generation = [np.concatenate(c) for c in children]
+        for i in range(params.p):
+            out[i].append(generation[i])
+    return [np.sort(np.concatenate(o)) for o in out]
+
+
 def poisson_spectrum(rates) -> np.ndarray:
     """Flat spectrum diag(lambda) of independent Poisson streams."""
     return np.diag(np.atleast_1d(np.asarray(rates, dtype=float)))

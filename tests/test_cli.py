@@ -519,6 +519,13 @@ def test_more_streams_than_eigen_wavelets_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_lrt_stack_above_its_byte_limit_is_config_error(tmp_path, capsys):
+    # p = 60 <= L at kappa 20, but J = 12 puts 2^12 segments of it in one stack: gigabytes
+    assert run([*_stationarity_byte_bound(tmp_path), "--out", tmp_path / "out"]) == 2
+    assert "p=60 streams, J=12 and R=1 replicates need about" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_coherence_is_numerical_error(tmp_path, capsys):
     # T = 1e-300 leaves Omega finite (its diagonal near 1e291) but |Omega_ij|^2
@@ -579,6 +586,12 @@ def _stationarity_rank_bound(tmp_path):
     return ["test-stationarity", _events_file(tmp_path / "ev.csv", p, T, events)]
 
 
+def _stationarity_byte_bound(tmp_path):
+    events = [(i, t) for i in range(1, 61) for t in (100.0, 700.0, 1200.0)]
+    return ["test-stationarity", _events_file(tmp_path / "ev.csv", 60, 1500.0, events),
+            "--kappa", 20, "--J", 12]
+
+
 def _coherence_at_horizon(T):
     def argv(tmp_path):
         events = [(1, 0.2 * T), (1, 0.5 * T), (2, 0.3 * T), (2, 0.6 * T)]
@@ -594,6 +607,7 @@ def _near_critical_hawkes(tmp_path):
 
 EXTREME_INPUTS = {
     "p = L + 1": _stationarity_rank_bound,
+    "p = 60, J = 12": _stationarity_byte_bound,  # had run 44 s to a MemoryError, exit 1
     "p = 8192 declared": lambda tmp_path: ["test-stationarity", _events_file(
         tmp_path / "ev.csv", 8192, 100.0, [(1, 10.0), (2, 20.0), (8192, 30.0)])],
     "T = 1e300": _coherence_at_horizon(1e300),

@@ -520,6 +520,37 @@ def test_more_streams_than_eigen_wavelets_refused_before_any_transform(monkeypat
         stationarity_test(stream, config)
 
 
+def test_lrt_stack_above_its_byte_limit_refused_before_any_transform(monkeypatch):
+    # p <= L with J = 12 could still allocate gigabytes at the finest scale
+    from eventspec import inference
+    config = StationarityConfig(J=3)
+    L = config.resolve_system(100.0).n_retained
+    streams = [simulate_poisson([1.0, 1.0], 100.0, seed=r) for r in range(2)]
+    nbytes = 16 * 2 * 2**3 * 2 * (3 * L + 2 * 2)  # R 2^J p (3 L + 2 p) complex values
+    monkeypatch.setattr(inference, "MAX_LRT_BYTES", nbytes)
+    assert len(stationarity_tests(streams, config)) == 2  # the limit itself is allowed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen_transforms called")
+
+    monkeypatch.setattr(inference, "MAX_LRT_BYTES", nbytes - 1)
+    monkeypatch.setattr(inference, "eigen_transforms", refuse)
+    with pytest.raises(ConfigError, match=rf"p=2 streams, J=3 and R=2 replicates need about "
+                                          rf"{nbytes} bytes at the finest scale, above {nbytes - 1}"):
+        stationarity_tests(streams, config)
+
+
+def test_lrt_byte_estimate_tracks_the_traced_peak(traced_peak):
+    # p near L, where the (R, 2^J, p, p) stacks count beside the transforms
+    config = StationarityConfig(kappa=2.0, c=0.1, J=9)
+    L = config.resolve_system(100.0).n_retained
+    streams = [simulate_poisson([20.0] * 6, 100.0, seed=r) for r in range(8)]
+    stationarity_tests(streams[:1], StationarityConfig(kappa=2.0, c=0.1, J=1))  # lazy imports
+    _, peak = traced_peak(stationarity_tests, streams, config)
+    nbytes = 16 * 8 * 2**9 * 6 * (3 * L + 2 * 6)
+    assert 0.8 * nbytes < peak < 1.25 * nbytes, (L, peak, nbytes)
+
+
 def test_piecewise_verdict_is_null_without_a_rate(monkeypatch):
     from types import SimpleNamespace
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
-from eventspec import pointproc
+from eventspec import pointproc, studies
 from eventspec import ConfigError
 from eventspec import (EventStream, HawkesParams, ParseError,
                        ValidationError, Wavelet,
                        coherence_theoretical, hawkes_spectrum, load_csv,
                        save_csv, simulate_hawkes, simulate_piecewise, simulate_poisson)
-from oracles import poisson_spectrum, save_csv_sorted_tuples
+from oracles import hawkes_per_pair_filter, poisson_spectrum, save_csv_sorted_tuples
 
 UNIVARIATE = dict(nu=1.0, alpha=0.5, beta=1.0)
 BIVARIATE = dict(nu=[1.0, 1.0], alpha=[[0.5, 0.4], [0.4, 0.5]],
@@ -136,6 +137,19 @@ class TestPoisson:
                          ([math.nan], 1.0), ([-1.0], 1.0)]:
             with pytest.raises(ValidationError):
                 simulate_poisson(rates, T, seed=1)
+
+    def test_ties_and_zero_draws_are_dropped(self, monkeypatch):
+        # the fallback a tie or a draw at exactly 0 takes; seeded draws have neither
+        class Tied:
+            def poisson(self, lam):
+                return 5
+
+            def uniform(self, low, high, size):
+                return np.array([3.0, 0.0, 1.0, 3.0, 2.0])
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Tied())
+        stream = simulate_poisson([1.0, 1.0], 10.0, seed=1)
+        assert [seq.tolist() for seq in stream.events] == [[1.0, 2.0, 3.0]] * 2
 
     def test_determinism(self):
         a = simulate_poisson([2.0, 1.0], 100.0, seed=42)
@@ -316,6 +330,69 @@ class TestPiecewise:
             simulate_piecewise([((0.0, 10.0), par), ((10.0, bound), par)], seed=1)
         with pytest.raises(ValidationError, match="finite"):
             simulate_hawkes(par, bound, seed=1)
+
+
+def event_digest(stream: EventStream) -> tuple:
+    """(counts, SHA-256 of every stream's little-endian float64 event bytes in turn)."""
+    h = hashlib.sha256()
+    for seq in stream.events:
+        h.update(np.ascontiguousarray(seq, dtype="<f8").tobytes())
+    return stream.counts().tolist(), h.hexdigest()
+
+
+class TestGoldenDraws:
+    """Seeded draws pinned bit for bit: a faster simulator must make the same generator
+    calls in the same order, so criterion 11's KS p and the studies' draws CSVs stay put."""
+
+    T_CRIT11 = 466.25802172691306
+
+    @pytest.mark.parametrize("seed, counts, sha", [
+        (1, [4404, 4296], "9adff6c8da17038599ec22780a5d529fa5e2fe0c4110de719673a2d449317cf1"),
+        (2, [4011, 4048], "7855856540bb58741dafa4ef89fa1612061255f9a1d056fa308418e6b2c5e3dd"),
+        (3, [4273, 4297], "ec891179aa1f8380d1c1cd0aa0156c2ff701f87733eee26346d99af93f688214"),
+    ])
+    def test_bivariate_study_design(self, seed, counts, sha):
+        par = HawkesParams.from_dict(studies.BIVARIATE_HAWKES)
+        assert event_digest(simulate_hawkes(par, self.T_CRIT11, seed=seed)) == (counts, sha)
+
+    def test_univariate_design(self):
+        par = HawkesParams.from_dict(studies.UNIVARIATE_HAWKES)
+        assert event_digest(simulate_hawkes(par, 500.0, seed=7)) == (
+            [965], "c8572acc6863c1fed6a402883243ea4f9c80577a8111036bfb31f533947012ee")
+
+    def test_piecewise_design(self):
+        assert event_digest(simulate_piecewise(studies.piecewise_segments(), seed=11)) == (
+            [2281, 2435], "95d4417d2169e6047d05f737c40455f04ace5ede5e7bbf33f504140ebbac910b")
+
+    def test_empty_stream(self):
+        # stream 2 has no immigrants and no parents: an empty parent set from the start
+        par = HawkesParams(nu=[1.0, 0.0], alpha=[[0.5, 0.0], [0.0, 0.0]], beta=1.0)
+        assert event_digest(simulate_hawkes(par, 300.0, seed=5)) == (
+            [603, 0], "bd8444fe2bece10740cad69ff64882439750b792d711ac04387cf9b0a62b19a6")
+
+    def test_poisson(self):
+        assert event_digest(simulate_poisson([2.0, 2.0], 1500.0, seed=4)) == (
+            [3115, 3025], "bebb475bb1f05438328e83291411ee222c639d770cf55f1e4f16a937955e640c")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_the_per_pair_filter_loop(self, p, seed):
+        # random designs, some streams without immigrants or offspring
+        rng = np.random.default_rng(seed)
+        nu = rng.choice([0.0, 0.5, 2.0], p)
+        ratio = rng.uniform(0.0, 0.9 / p, (p, p)) * (rng.uniform(size=(p, p)) < 0.7)
+        beta = rng.uniform(0.5, 2.0, (p, p))
+        par = HawkesParams(nu=nu, alpha=ratio * beta, beta=beta)  # spectral radius < 0.9
+        draws = pointproc._simulate_hawkes_rng(par, 60.0, np.random.default_rng(seed))
+        expected = hawkes_per_pair_filter(par, 60.0, np.random.default_rng(seed))
+        assert all(np.array_equal(x, y) for x, y in zip(draws, expected, strict=True))
+
+    def test_size_zero_draws_take_nothing_from_the_generator(self):
+        # the Hawkes simulator skips an empty parent set on this numpy behaviour
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert rng.poisson(0.5, 0).size == 0 and rng.exponential(1.0, 0).size == 0
+        assert rng.bit_generator.state == state
 
 
 class TestSpectrum:
