@@ -12,7 +12,8 @@ chi-squared with (2^j - 1) p^2 degrees of freedom per scale. stationarity_tests
 takes a batch of streams through one transform call and one batched-Cholesky
 LRT call per scale; stationarity_test is its one-stream case. A segment
 periodogram has rank at most L = n_retained, so p > L streams are refused, and
-so is a batch whose finest scale would pass kernels.MAX_LRT_BYTES.
+so is a stream whose finest scale alone would pass kernels.MAX_LRT_BYTES; more
+streams than fit it go through in several batches.
 """
 
 from __future__ import annotations
@@ -300,55 +301,36 @@ def stationarity_test(stream: EventStream,
 def stationarity_tests(streams, config: StationarityConfig | None = None
                        ) -> list[StationarityReport]:
     """stationarity_test of each stream; the streams share T and p (else ValidationError),
-    p is at most the eigensystem's L and the finest scale fits MAX_LRT_BYTES (else
-    ConfigError, before any transform).
+    p is at most the eigensystem's L and one stream's finest scale fits MAX_LRT_BYTES
+    (else ConfigError, before any transform).
 
-    Per scale: one eigen_transforms call over every stream and one lrt_statistic call
-    over their (R, K, p, p) stack, retried a stream at a time if its Cholesky refuses,
-    so each stream gets its own note. Statistics match one-stream calls to rounding.
+    The streams go through _scale_results in batches as large as MAX_LRT_BYTES allows
+    at the finest scale. Statistics match one-stream calls to rounding.
     """
     config = config or StationarityConfig()
     config.validate()
     streams = list(streams)
     if not streams or any(s.T != streams[0].T or s.p != streams[0].p for s in streams):
         raise ValidationError("stationarity_tests needs streams, all of one horizon T and one p")
-    T, p, R = streams[0].T, streams[0].p, len(streams)
-    events = [e for s in streams for e in s.events]  # replicate-major, as reshaped below
+    T, p = streams[0].T, streams[0].p
     system = config.resolve_system(T)
     if p > system.n_retained:  # every segment's Omega would be singular
         raise ConfigError(f"p={p} streams exceed the L={system.n_retained} eigen-wavelets "
                           f"retained at kappa_tilde={system.window.kappa:.6g}; "
                           "a wider window (larger kappa or c) retains more")
-    # the finest scale's (2^J R p, L) transforms live three times in eigen_expansion,
-    # beside its (R, 2^J, p, p) Omega and temporaries (tracemalloc)
-    nbytes = 16 * R * 2**config.J * p * (3 * system.n_retained + 2 * p)
-    if nbytes > MAX_LRT_BYTES:
-        raise ConfigError(f"p={p} streams, J={config.J} and R={R} replicates need about "
-                          f"{nbytes} bytes at the finest scale, above {MAX_LRT_BYTES}")
+    # a stream's finest scale: its (2^J p, L) transforms live three times in
+    # eigen_expansion, beside its (2^J, p, p) Omega and temporaries (tracemalloc)
+    stream_bytes = 16 * 2**config.J * p * (3 * system.n_retained + 2 * p)
+    if stream_bytes > MAX_LRT_BYTES:
+        raise ConfigError(f"p={p} streams at J={config.J} need about {stream_bytes} bytes "
+                          f"per stream at the finest scale, above {MAX_LRT_BYTES}")
+    batch = MAX_LRT_BYTES // stream_bytes
     wav = system.wavelet
     flavor = Flavor.of(wav)
-    width = system.width
     n_dof = system.degrees_of_freedom()
-
-    scales: list[list[ScaleResult]] = [[] for _ in streams]
-    for j in range(1, config.J + 1):
-        K = 2**j
-        a_j = T / (K * width)
-        dof_j = (K - 1) * p**2
-        centres = (2 * np.arange(1, K + 1) - 1) * T / (2 * K)
-        v = eigen_transforms(events, system, a_j, centres).reshape(K, R, p, -1)
-        omega = eigen_expansion(v, system.retained_eigenvalues).swapaxes(0, 1)
-        try:
-            stats = lrt_statistic(omega, n_dof, flavor).tolist()
-        except DegenerateSegmentError:  # one stream at a time, each with its own note
-            stats = [None] * R
-        for r, stat in enumerate(stats):
-            try:
-                if stat is None:
-                    stat = lrt_statistic(omega[r], n_dof, flavor)
-                scales[r].append(ScaleResult(j, K, stat, dof_j, chi2_sf(stat, dof_j), True))
-            except DegenerateSegmentError as exc:
-                scales[r].append(ScaleResult(j, K, None, dof_j, None, False, str(exc)))
+    scales = [rows for start in range(0, len(streams), batch)
+              for rows in _scale_results(streams[start:start + batch], system, config.J,
+                                         flavor, n_dof)]
 
     reports = []
     for rows in scales:
@@ -372,3 +354,32 @@ def stationarity_tests(streams, config: StationarityConfig | None = None
         }
         reports.append(StationarityReport(rows, comb_stat, comb_dof, comb_p, meta))
     return reports
+
+
+def _scale_results(streams, system: EigenSystem, J: int, flavor: Flavor,
+                   n_dof: float) -> list[list[ScaleResult]]:
+    """Scales 1..J of each stream. Per scale: one eigen_transforms call over the streams
+    and one lrt_statistic call over their (R, K, p, p) stack, retried a stream at a time
+    if its Cholesky refuses, so each stream gets its own note."""
+    T, p, R = streams[0].T, streams[0].p, len(streams)
+    events = [e for s in streams for e in s.events]  # replicate-major, as reshaped below
+    scales: list[list[ScaleResult]] = [[] for _ in streams]
+    for j in range(1, J + 1):
+        K = 2**j
+        a_j = T / (K * system.width)
+        dof_j = (K - 1) * p**2
+        centres = (2 * np.arange(1, K + 1) - 1) * T / (2 * K)
+        v = eigen_transforms(events, system, a_j, centres).reshape(K, R, p, -1)
+        omega = eigen_expansion(v, system.retained_eigenvalues).swapaxes(0, 1)
+        try:
+            stats = lrt_statistic(omega, n_dof, flavor).tolist()
+        except DegenerateSegmentError:  # one stream at a time, each with its own note
+            stats = [None] * R
+        for r, stat in enumerate(stats):
+            try:
+                if stat is None:
+                    stat = lrt_statistic(omega[r], n_dof, flavor)
+                scales[r].append(ScaleResult(j, K, stat, dof_j, chi2_sf(stat, dof_j), True))
+            except DegenerateSegmentError as exc:
+                scales[r].append(ScaleResult(j, K, None, dof_j, None, False, str(exc)))
+    return scales

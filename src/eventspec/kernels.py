@@ -40,7 +40,7 @@ DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 4096      # the kernel matrix alone is 128 MB at this size
 MAX_TABLE_BYTES = 1 << 28   # the table build's (m n_points, L) complex spectrum; peak ~3x
 MAX_FIELD_BYTES = 1 << 30   # field()'s complex (n_a, n_b, p, p) omega; gamma2 adds half
-MAX_LRT_BYTES = 1 << 30     # stationarity_tests' finest scale: R 2^J p (3 L + 2 p) complex
+MAX_LRT_BYTES = 1 << 30     # a stationarity_tests batch at scale J: R 2^J p (3 L + 2 p) complex
 
 
 class WindowKind(enum.Enum):

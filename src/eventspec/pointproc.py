@@ -2,11 +2,9 @@
 
 Simulation covers homogeneous Poisson processes, exponential-kernel Hawkes
 processes (self and mutually exciting, simulated exactly from the Poisson
-cluster representation one generation at a time: one filter to (0, T] per
-stream and generation, empty parent sets skipped, which leaves the draws
-unchanged), and piecewise-stationary concatenations of independent Hawkes
-segments. Theoretical Bartlett spectra and coherences for these processes
-back the Monte-Carlo studies.
+cluster representation one generation at a time), and piecewise-stationary
+concatenations of independent Hawkes segments. Theoretical Bartlett
+spectra and coherences for these processes back the Monte-Carlo studies.
 """
 
 from __future__ import annotations
@@ -222,10 +220,10 @@ def simulate_poisson(rates, T: float, seed) -> EventStream:
     for lam in rates:
         times = rng.uniform(0.0, T, rng.poisson(lam * T))
         times.sort()
-        # strictly increasing and inside (0, T]: np.unique only on a tie or a 0 draw
-        if times.size and (times[0] <= 0 or not (times[1:] > times[:-1]).all()):
-            times = np.unique(times[times > 0])
-        events.append(times)
+        # strictly increasing and inside (0, T]: drop a draw at 0 and every tie
+        keep = times > 0
+        keep[1:] &= times[1:] > times[:-1]
+        events.append(times[keep])
     return EventStream(events, T)
 
 
@@ -238,8 +236,8 @@ def _simulate_hawkes_rng(params: HawkesParams, T: float,
     after it (Hawkes & Oakes 1974). Children after T are dropped together
     with their descendants. Each generation is drawn in one vectorised step
     per (i, j) pair and filtered once per stream; an empty parent set is
-    skipped, since its size-0 draws take nothing from rng, so the draws are
-    those of one step per pair. Returns one sorted time array per stream.
+    skipped, since its size-0 draws would take nothing from rng. Returns one
+    sorted time array per stream.
     """
     branching = (params.alpha / params.beta).tolist()
     scale = (1.0 / params.beta).tolist()

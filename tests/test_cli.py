@@ -522,7 +522,7 @@ def test_more_streams_than_eigen_wavelets_is_config_error(tmp_path, capsys):
 def test_lrt_stack_above_its_byte_limit_is_config_error(tmp_path, capsys):
     # p = 60 <= L at kappa 20, but J = 12 puts 2^12 segments of it in one stack: gigabytes
     assert run([*_stationarity_byte_bound(tmp_path), "--out", tmp_path / "out"]) == 2
-    assert "p=60 streams, J=12 and R=1 replicates need about" in capsys.readouterr().err
+    assert "p=60 streams at J=12 need about" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

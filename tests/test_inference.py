@@ -521,23 +521,46 @@ def test_more_streams_than_eigen_wavelets_refused_before_any_transform(monkeypat
 
 
 def test_lrt_stack_above_its_byte_limit_refused_before_any_transform(monkeypatch):
-    # p <= L with J = 12 could still allocate gigabytes at the finest scale
+    # p <= L with J = 12 could still allocate gigabytes at one stream's finest scale
     from eventspec import inference
     config = StationarityConfig(J=3)
     L = config.resolve_system(100.0).n_retained
-    streams = [simulate_poisson([1.0, 1.0], 100.0, seed=r) for r in range(2)]
-    nbytes = 16 * 2 * 2**3 * 2 * (3 * L + 2 * 2)  # R 2^J p (3 L + 2 p) complex values
+    stream = simulate_poisson([1.0, 1.0], 100.0, seed=0)
+    nbytes = 16 * 2**3 * 2 * (3 * L + 2 * 2)  # 2^J p (3 L + 2 p) complex values
     monkeypatch.setattr(inference, "MAX_LRT_BYTES", nbytes)
-    assert len(stationarity_tests(streams, config)) == 2  # the limit itself is allowed
+    assert stationarity_test(stream, config).meta["p"] == 2  # the limit itself is allowed
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigen_transforms called")
 
     monkeypatch.setattr(inference, "MAX_LRT_BYTES", nbytes - 1)
     monkeypatch.setattr(inference, "eigen_transforms", refuse)
-    with pytest.raises(ConfigError, match=rf"p=2 streams, J=3 and R=2 replicates need about "
-                                          rf"{nbytes} bytes at the finest scale, above {nbytes - 1}"):
-        stationarity_tests(streams, config)
+    with pytest.raises(ConfigError, match=rf"p=2 streams at J=3 need about {nbytes} bytes "
+                                          rf"per stream at the finest scale, above {nbytes - 1}"):
+        stationarity_test(stream, config)
+
+
+def test_streams_past_the_lrt_byte_limit_go_through_in_batches(monkeypatch):
+    # sparse replicates gather in one study batch whose finest scale passes the limit
+    # that each fits: the batches split, and the study's summary and draws stay the same
+    from eventspec import inference
+    from eventspec.errors import json_text
+    from eventspec.studies import run_test_size
+    args = dict(rates=(0.05, 0.05), T=100.0, J=4, replicates=12, seed=3)
+    summary, (_, _, rows) = run_test_size(**args)
+    L = StationarityConfig(kappa=6.0, c=0.25, J=4).resolve_system(100.0).n_retained
+    sizes, transforms = [], inference.eigen_transforms
+
+    def counted(events, *args):
+        sizes.append(len(events) // 2)
+        return transforms(events, *args)
+
+    monkeypatch.setattr(inference, "eigen_transforms", counted)
+    monkeypatch.setattr(inference, "MAX_LRT_BYTES", 5 * 16 * 2**4 * 2 * (3 * L + 2 * 2))
+    split_summary, (_, _, split_rows) = run_test_size(**args)
+    assert sizes == [5] * 4 + [5] * 4 + [2] * 4  # streams per transform call, J = 4 each
+    assert json_text(split_summary) == json_text(summary)
+    np.testing.assert_array_equal(np.array(split_rows), np.array(rows))
 
 
 def test_lrt_byte_estimate_tracks_the_traced_peak(traced_peak):
@@ -548,7 +571,7 @@ def test_lrt_byte_estimate_tracks_the_traced_peak(traced_peak):
     stationarity_tests(streams[:1], StationarityConfig(kappa=2.0, c=0.1, J=1))  # lazy imports
     _, peak = traced_peak(stationarity_tests, streams, config)
     nbytes = 16 * 8 * 2**9 * 6 * (3 * L + 2 * 6)
-    assert 0.8 * nbytes < peak < 1.25 * nbytes, (L, peak, nbytes)
+    assert 0.8 * nbytes < peak < 1.25 * nbytes, (L, peak, nbytes)  # 0.91 measured
 
 
 def test_piecewise_verdict_is_null_without_a_rate(monkeypatch):

@@ -139,7 +139,7 @@ class TestPoisson:
                 simulate_poisson(rates, T, seed=1)
 
     def test_ties_and_zero_draws_are_dropped(self, monkeypatch):
-        # the fallback a tie or a draw at exactly 0 takes; seeded draws have neither
+        # a tie or a draw at exactly 0, which seeded draws do not show
         class Tied:
             def poisson(self, lam):
                 return 5
