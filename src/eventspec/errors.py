@@ -53,9 +53,9 @@ class NumericalError(EventspecError):
     """A numerical routine failed to converge to the requested tolerance."""
 
 
-def json_text(obj, **kwargs) -> str:
+def json_text(obj) -> str:
     """The package's JSON text of obj; a NaN or infinity in it is a NumericalError."""
     try:
-        return json.dumps(obj, allow_nan=False, indent=2, sort_keys=True, **kwargs)
+        return json.dumps(obj, allow_nan=False, indent=2, sort_keys=True)
     except ValueError as exc:
         raise NumericalError(f"not written: a value is not finite ({exc})") from None

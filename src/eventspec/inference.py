@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 
 import numpy as np
 
@@ -117,16 +116,12 @@ class CoherenceDistribution:
     def cdf(self, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         if self.rho2 != 0.0:
-            grid, vals = self._cdf_table
+            grid, vals = self.cdf_grid()
             return np.interp(x, grid, vals)
         if self.flavor is Flavor.COMPLEX:
             return 1.0 - (1.0 - x) ** (self.n - 1.0)
         from scipy.special import betainc  # slow to import; kept off the CLI's import path
         return betainc(0.5, (self.n - 1.0) / 2.0, x)
-
-    @cached_property
-    def _cdf_table(self):
-        return self.cdf_grid()
 
 
 def null_percentile(flavor: Flavor, n: float, q: float) -> float:
@@ -235,8 +230,8 @@ class StationarityReport:
                              "p_value": self.combined_p_value},
                 "meta": self.meta}
 
-    def to_json(self, **kwargs) -> str:
-        return json_text(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json_text(self.to_dict())
 
     def __str__(self) -> str:
         lines = ["scale j  segments  -2 log Lambda_j        dof    p-value"]

@@ -25,15 +25,14 @@ cap the rest.
 
 from __future__ import annotations
 
-import csv
 import enum
 import functools
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .quadrature import midpoint_grid, simpson_rule
-from .wavelets import Wavelet
+from .wavelets import QUAD_POINTS, Wavelet, checked_samples, read_samples, sampled
 
 CELL_QUAD_POINTS = 4        # Gauss-Legendre nodes per cell of the grid rule
 DEFAULT_GRID_POINTS = 512
@@ -69,31 +68,22 @@ class SmoothingWindow:
 
     @classmethod
     def tabulated(cls, points: np.ndarray, values: np.ndarray, kappa: float) -> "SmoothingWindow":
-        """Window from samples of h on a uniform grid inside (-1/2, 1/2).
+        """Window from real samples of h at increasing points in [-1/2, 1/2].
 
         Samples are interpolated, clipped at zero, symmetrized and
         renormalized so the stored density satisfies the window contract.
         """
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):
-            raise ValidationError("window samples must be finite")
+        if np.iscomplexobj(values):
+            raise ValidationError("window samples must be real")
+        points, values = checked_samples(points, values, 2, "window")
         if np.any(values < -1e-12):
             raise ValidationError("window samples must be non-negative")
-        if points.min() < -0.5 or points.max() > 0.5:
+        if points[0] < -0.5 or points[-1] > 0.5:
             raise ValidationError("window samples must lie in [-1/2, 1/2]")
-        from scipy.interpolate import CubicSpline  # slow to import; used only here
-        spline = CubicSpline(points, np.clip(values, 0.0, None))
-        lo, hi = points[0], points[-1]
-
-        def raw(u: np.ndarray) -> np.ndarray:
-            u = np.asarray(u, dtype=float)
-            inside = (u >= lo) & (u <= hi)
-            vals = np.clip(spline(np.clip(u, lo, hi)), 0.0, None)
-            return np.where(inside, vals, 0.0)
-
-        x, w = simpson_rule(-0.5, 0.5, 4097)
+        spline = sampled(points, np.clip(values, 0.0, None))
+        raw = lambda u: np.clip(spline(u), 0.0, None)
         sym = lambda u: 0.5 * (raw(u) + raw(-np.asarray(u)))
+        x, w = simpson_rule(-0.5, 0.5, QUAD_POINTS)
         total = w @ sym(x)
         if total <= 0:
             raise ValidationError("window has zero mass")
@@ -101,21 +91,8 @@ class SmoothingWindow:
 
     @classmethod
     def from_csv(cls, path, kappa: float) -> "SmoothingWindow":
-        pts, vals = [], []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) != 2:
-                    raise ParseError("expected 2 columns (u, h)", lineno)
-                try:
-                    pts.append(float(row[0]))
-                    vals.append(float(row[1]))
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
-        if not pts:
-            raise ParseError("no samples found in window file")
-        return cls.tabulated(np.asarray(pts), np.asarray(vals), kappa)
+        """Load a tabulated window from a (u, h) CSV file."""
+        return cls.tabulated(*read_samples(path, (2,)), kappa)
 
     def density(self, u) -> np.ndarray:
         """h_kappa(u), zero outside (-kappa/2, kappa/2).

@@ -106,52 +106,20 @@ class Wavelet:
     def tabulated(cls, times: np.ndarray, values: np.ndarray,
                   alpha: float | None = None) -> "Wavelet":
         """Wavelet given by samples on a uniform grid inside its support."""
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values)
-        if times.ndim != 1 or times.size < 8:
-            raise ValidationError("tabulated wavelet needs at least 8 samples")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValidationError("tabulated wavelet samples must be finite")
+        times, values = checked_samples(times, values, 8, "tabulated wavelet")
         steps = np.diff(times)
-        if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.mean():
-            raise ValidationError("tabulated wavelet grid must be uniform and increasing")
+        if steps.max() - steps.min() > 1e-9 * steps.mean():
+            raise ValidationError("tabulated wavelet grid must be uniform")
         if alpha is None:
             alpha = 2.0 * max(abs(times[0]), abs(times[-1]))
         is_complex = np.iscomplexobj(values) and np.abs(values.imag).max() > 0
-        from scipy.interpolate import CubicSpline  # slow to import; used only here
-        spline = CubicSpline(times, values if is_complex else values.real)
-        lo, hi = times[0], times[-1]
-
-        def envelope(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            out = spline(np.clip(t, lo, hi))
-            return np.where((t < lo) | (t > hi), 0.0, out)
-
+        envelope = sampled(times, values if is_complex else values.real)
         return cls(WaveletKind.TABULATED, alpha, envelope, 0.0, is_complex)
 
     @classmethod
     def from_csv(cls, path) -> "Wavelet":
         """Load a tabulated wavelet from a (t, re[, im]) CSV file."""
-        times, vals = [], []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) not in (2, 3):
-                    raise ParseError("expected 2 or 3 columns (t, re[, im])", lineno)
-                try:
-                    t = float(row[0])
-                    v = float(row[1]) + (1j * float(row[2]) if len(row) == 3 else 0.0)
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
-                times.append(t)
-                vals.append(v)
-        if not times:
-            raise ParseError("no samples found in wavelet file")
-        values = np.asarray(vals)
-        if np.abs(values.imag).max() == 0:
-            values = values.real
-        return cls.tabulated(np.asarray(times), values)
+        return cls.tabulated(*read_samples(path, (2, 3)))
 
     # -- normalization --------------------------------------------------
 
@@ -263,3 +231,47 @@ def central_frequency(w: Wavelet) -> float:
     if mass <= 0:
         raise ValidationError("wavelet has no positive-frequency energy")
     return float(np.trapezoid(f * power, f) / mass)
+
+
+def read_samples(path, widths: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(x, v [+ i im]) arrays from CSV rows of len in widths; blank and '#' rows skipped."""
+    points, values = [], []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if len(row) not in widths:
+                raise ParseError(f"expected {' or '.join(map(str, widths))} columns", lineno)
+            try:
+                x, v, *im = map(float, row)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            points.append(x)
+            values.append(v + 1j * im[0] if im else v)
+    if not points:
+        raise ParseError(f"no samples found in {path}")
+    return np.asarray(points), np.asarray(values)
+
+
+def checked_samples(points, values, minimum: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """1-D, equally long (>= minimum), finite arrays, points increasing; or a ValidationError."""
+    points, values = np.asarray(points, dtype=float), np.asarray(values)
+    if points.ndim != 1 or values.shape != points.shape or points.size < minimum:
+        raise ValidationError(f"{what} needs 1-D points and values of one length >= {minimum}")
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):
+        raise ValidationError(f"{what} samples must be finite")
+    if np.any(np.diff(points) <= 0):
+        raise ValidationError(f"{what} points must be strictly increasing")
+    return points, values
+
+
+def sampled(points: np.ndarray, values: np.ndarray):
+    """The cubic spline through checked samples, zero outside [points[0], points[-1]]."""
+    from scipy.interpolate import CubicSpline  # slow to import; used only here
+    spline = CubicSpline(points, values)
+    lo, hi = points[0], points[-1]
+
+    def interpolant(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.where((t < lo) | (t > hi), 0.0, spline(np.clip(t, lo, hi)))
+    return interpolant

@@ -3,8 +3,8 @@ import pytest
 from scipy.special import erf
 
 import oracles
-from eventspec import (EventStream, SmoothedKernel, SmoothingWindow, ValidRegion,
-                       ValidationError, Wavelet, nystrom_decompose)
+from eventspec import (EventStream, ParseError, SmoothedKernel, SmoothingWindow,
+                       ValidRegion, ValidationError, Wavelet, nystrom_decompose)
 from eventspec import kernels
 from eventspec.quadrature import simpson_rule
 from oracles import (cell_factors_whole_blocks, eigen_wavelet_value, full_kernel_matrix,
@@ -317,6 +317,18 @@ class TestValidRegion:
             ValidRegion(8.0, 10.0, T)
 
 
+MALFORMED_WINDOWS = {
+    # SmoothingWindow.tabulated's (points, values), or the text of a from_csv file
+    "one-sample": ([0.0], [1.0]),
+    "unsorted": ([-0.5, 0.25, -0.25, 0.5], np.ones(4)),
+    "duplicate": ([-0.5, 0.0, 0.0, 0.5], np.ones(4)),
+    "csv-unsorted-rows": "-0.5,1.0\n0.25,1.0\n-0.25,1.0\n0.5,1.0\n",
+    "2-d-points": (np.linspace(-0.5, 0.5, 8).reshape(2, 4), np.ones((2, 4))),
+    "length-mismatch": (np.linspace(-0.5, 0.5, 11), np.ones(10)),
+    "complex": (np.linspace(-0.5, 0.5, 11), np.full(11, 1.0 + 0.1j)),
+}
+
+
 class TestSmoothingWindow:
     def test_rectangular_density(self):
         win = SmoothingWindow.rectangular(4.0)
@@ -350,6 +362,29 @@ class TestSmoothingWindow:
         path = tmp_path / "win.csv"
         path.write_text(f"-0.5,1.0\n-0.25,1.0\n{row}\n0.25,1.0\n0.5,1.0\n")
         with pytest.raises(ValidationError, match="finite"):
+            SmoothingWindow.from_csv(path, kappa=3.0)
+
+    @pytest.mark.parametrize("case", MALFORMED_WINDOWS, ids=list(MALFORMED_WINDOWS))
+    def test_malformed_samples_are_validation_errors(self, tmp_path, case):
+        # each had escaped as scipy's or numpy's ValueError, or (complex) with a ComplexWarning
+        samples = MALFORMED_WINDOWS[case]
+        with pytest.raises(ValidationError):
+            if isinstance(samples, str):
+                path = tmp_path / "win.csv"
+                path.write_text(samples)
+                SmoothingWindow.from_csv(path, kappa=3.0)
+            else:
+                SmoothingWindow.tabulated(*samples, kappa=3.0)
+
+    @pytest.mark.parametrize("text, match", [
+        ("-0.5,1.0\n0.0,1.0,0.5\n0.5,1.0\n", "line 2: expected 2 columns"),
+        ("# u, h\n-0.5,1.0\nhalf,1.0\n0.5,1.0\n", "line 3"),
+        ("# u, h\n\n", "no samples"),
+    ], ids=["column-count", "not-a-number", "empty"])
+    def test_malformed_csv_is_parse_error(self, tmp_path, text, match):
+        path = tmp_path / "win.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
             SmoothingWindow.from_csv(path, kappa=3.0)
 
     def test_window_csv(self, tmp_path):

@@ -124,6 +124,13 @@ class TestAutocorrelation:
         assert np.abs(bwd - np.conj(fwd)).max() < 1e-10
 
 
+MALFORMED_WAVELETS = {
+    # Wavelet.tabulated's (times, values)
+    "length-mismatch": (np.linspace(-4.0, 4.0, 16), np.ones(15)),
+    "2-d-values": (np.linspace(-4.0, 4.0, 16), np.ones((16, 2))),
+}
+
+
 class TestTabulatedIO:
     def test_round_trip_csv(self, tmp_path, morlet):
         x = np.linspace(-4, 4, 2048)
@@ -142,6 +149,22 @@ class TestTabulatedIO:
         path.write_text("0.0,1.0\nnot-a-number,2.0\n")
         with pytest.raises(ParseError, match="line 2"):
             Wavelet.from_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("0.0,1.0\n0.5,1.0,0.0,2.0\n", "line 2: expected 2 or 3 columns"),
+        ("# t, re\n\n", "no samples"),
+    ], ids=["column-count", "empty"])
+    def test_malformed_csv_is_parse_error(self, tmp_path, text, match):
+        path = tmp_path / "wavelet.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            Wavelet.from_csv(path)
+
+    @pytest.mark.parametrize("case", MALFORMED_WAVELETS, ids=list(MALFORMED_WAVELETS))
+    def test_malformed_samples_are_validation_errors(self, case):
+        # each had escaped as scipy's or numpy's ValueError
+        with pytest.raises(ValidationError):
+            Wavelet.tabulated(*MALFORMED_WAVELETS[case])
 
     def test_nonuniform_grid_rejected(self):
         x = np.array([0.0, 0.1, 0.3, 0.35, 0.5, 0.6, 0.7, 0.8])
