@@ -19,9 +19,10 @@ modulated at their knots and divided by the quintic B-spline symbol (33 + 26 cos
 cos 2w)/60 in one more FFT pass (Unser 1999, IEEE Signal Proc. Mag. 16(6)); a table above
 MAX_TABLE_BYTES is a ConfigError, and one that is not finite a NumericalError. A value on
 interval i is sum_k c_{i-2+k} B_k(t) over 6 real uniform B-spline weights, so evaluation
-never sees the modulation. summed_wavelets_by_run sums the 6 weights of every event of a
-run onto one coefficient grid row per run, and all of a block's rows meet the table,
-viewed as real pairs, in one matrix product.
+never sees the modulation. EigenSystem.basis forms them for points inside the support, in
+one (6, 6) product over the powers of t; eigen_wavelets_at masks the support and gathers 6
+rows per point, and spectra.eigen_transforms sums the weights onto one coefficient grid
+row per run of events and meets the table once per group of rows.
 The Nystrom extension phi_l(x) = eta_l^(-1) sum_j w K(x, s_j) phi_l(s_j) the
 table approximates, sum_l eta_l |Phi_l(f)|^2 and the large-kappa closed form of n
 are test oracles (tests/oracles.py).
@@ -151,46 +152,29 @@ class EigenSystem:
 
     # -- evaluation -----------------------------------------------------
 
-    def _basis(self, x):
-        # support mask; for the n points inside, the index of each one's first of 6
-        # coefficient rows and the (6, n) weights B_k(t)/120 of the quintic pieces.
-        x = np.asarray(x, dtype=float)
-        inside = np.abs(x) < self.width / 2.0
-        x = x[inside]
-        cell = np.floor((x - self._knots[0]) / self._step).astype(np.intp)
-        np.clip(cell, 2, len(self._knots) - 4, out=cell)
-        t = x - self._knots[cell]  # from the left knot: an exact difference
+    def basis(self, x: np.ndarray):
+        """For n points x inside the support: each one's first of 6 coefficient rows and
+        the (6, n) weights B_k(t)/120, in one product over the powers 1, t, .., t^5."""
+        cell = ((x - self._knots[0]) / self._step).astype(np.intp)  # floor: x > knots[0]
+        powers = np.empty((6, x.size))
+        powers[0] = 1.0
+        t = np.subtract(x, self._knots[cell], out=powers[1])  # from the left knot: exact
         t /= self._step
-        powers = np.empty((5, t.size))  # t .. t^5
-        powers[0] = t
-        np.multiply(t, t, out=powers[1])
-        np.multiply(powers[1], t, out=powers[2])
-        np.multiply(powers[1], powers[1], out=powers[3])
-        np.multiply(powers[3], t, out=powers[4])
-        weights = _QUINTIC[:, 1:] @ powers
-        weights += _QUINTIC[:, :1]
-        return inside, cell - 2, weights
+        np.multiply(t, t, out=powers[2])
+        np.multiply(powers[2], t, out=powers[3])
+        np.multiply(powers[2], powers[2], out=powers[4])
+        np.multiply(powers[4], t, out=powers[5])
+        return cell - 2, _QUINTIC @ powers
 
     def eigen_wavelets_at(self, x: np.ndarray) -> np.ndarray:
         """Eigen-wavelet values, phase included, shape (len(x), L); 0 off the support."""
-        inside, first, weights = self._basis(x)
+        x = np.asarray(x, dtype=float)
+        inside = np.abs(x) < self.width / 2.0
+        first, weights = self.basis(x[inside])
         vals = np.zeros((inside.size, self.n_retained), dtype=complex)
         rows = self.coefficients[first[:, None] + np.arange(6)]  # (n, 6, L)
         vals[inside] = np.einsum("kn,nkl->nl", weights, rows)
         return vals
-
-    def summed_wavelets_by_run(self, x: np.ndarray, ends) -> np.ndarray:
-        """Each run's eigen_wavelets_at(x[ends[k-1]:ends[k]]).sum(axis=0), shape (len(ends), L).
-
-        ends[-1] = 0. bincount sums every weight onto one (runs, n_coef) grid, which meets
-        the whole table, viewed as (n_coef, 2L) reals when complex, in one matrix product."""
-        inside, first, weights = self._basis(x)
-        n_runs, n_coef = len(ends), len(self.coefficients)
-        run = np.repeat(np.arange(n_runs), np.diff(ends, prepend=0))[inside]
-        slots = (n_coef * run + first) + np.arange(6)[:, None]
-        grid = np.bincount(slots.ravel(), weights.ravel(), minlength=n_runs * n_coef)
-        sums = grid.reshape(n_runs, n_coef) @ self.coefficients.view(float)
-        return sums.view(complex) if np.iscomplexobj(self.coefficients) else sums + 0j
 
     def __repr__(self) -> str:
         return (f"EigenSystem({self.wavelet.label}, {self.window.kind.value}, "

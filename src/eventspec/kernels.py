@@ -138,8 +138,9 @@ def _cell_factors(kern: "SmoothedKernel", point_sets: list):
     Every block of a set is a read-only view of one reused buffer: use it before the next.
     """
     half, edge = kern.wavelet.alpha / 2.0, kern.window.kappa / 2.0
-    cuts = np.unique(np.clip(np.concatenate([pts + d for pts in point_sets for d in (-half, half)]
-                                            + [[-edge, edge]]), -edge, edge))
+    cuts = np.sort(np.clip(np.concatenate([pts + d for pts in point_sets for d in (-half, half)]
+                                          + [[-edge, edge]]), -edge, edge))
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique would import numpy.ma
     # sparse point sets leave cells too wide for 4 nodes; grid cuts are never split
     pieces = np.ceil(np.diff(cuts) / kern.weight).astype(np.intp)
     offset = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)

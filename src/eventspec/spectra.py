@@ -4,18 +4,19 @@ The temporally smoothed wavelet periodogram Omega(a, b) is the multi-wavelet
 expansion sum_l eta_l v_l v_l^H (eigen_expansion) of the transforms v_l under
 the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a translation
 grid; field() and stationarity_tests call it once per scale, and
-smoothed_periodogram_eigen at one point. It sums the 6 real quintic B-spline weights of
-each of a scale's (point, event) pairs onto one coefficient grid row per (point, stream)
-run, and one matrix product per block of runs meets the whole coefficient table, whose
-rows carry the wavelet's phase: no pair evaluates a sine or cosine, and the L-wide work
-does not grow with the pairs. Omega's definition, the kernel double sum over event
-pairs, is the direct route of the test oracles (tests/oracles.py); the two agree to
-interpolation accuracy.
+smoothed_periodogram_eigen at one point. It trims each (point, stream) run of a scale's
+(point, event) pairs to the support at its ends, sums the pairs' 6 real quintic B-spline
+weights onto one coefficient grid row per run, and one matrix product per group of rows
+meets the whole coefficient table, whose rows carry the wavelet's phase: no pair is
+masked or evaluates a sine or cosine, and the L-wide work does not grow with the pairs.
+Omega's definition, the kernel double sum over event pairs, is the direct route of the
+test oracles (tests/oracles.py); the two agree to interpolation accuracy.
 
 cwt and smoothed_periodogram_eigen raise RegionError for a support outside (0, T];
 eigen_transforms checks no point: its callers pass points inside.
-Memory: PAIR_BLOCK bounds a block of pairs, MAX_FIELD_BYTES field()'s Omega, and
-SpectralField.to_csv formats one scale row (n_b p^2 rows) at a time.
+Memory: PAIR_BLOCK bounds a block of pairs and, a quarter of it, a group's grid;
+MAX_FIELD_BYTES bounds field()'s Omega, and SpectralField.to_csv formats one scale row
+(n_b p^2 rows) at a time.
 """
 
 from __future__ import annotations
@@ -68,35 +69,52 @@ def eigen_transforms(events, system: EigenSystem, a: float, b_grid) -> np.ndarra
 
     events are sorted event-time arrays (as EventStream.events). Binary searches find
     every point's events in its support, per array: a run of (point, event) pairs per
-    (point, array). EigenSystem.summed_wavelets_by_run sums the runs in blocks of at least
-    one run and at most PAIR_BLOCK // 32 pairs (about 17 values of weights, indices and
-    temporaries each) and PAIR_BLOCK // n_coef runs (its grid rows), so no scale holds all
-    its pairs.
+    (point, array), trimmed at its ends to the events with |x| < w/2, and one row of a
+    coefficient grid. Blocks of at least one run and at most PAIR_BLOCK // 32 pairs (about
+    17 values of weights, indices and temporaries each) sum their pairs' 6 weights onto
+    their rows, and each group of PAIR_BLOCK // (4 n_coef) rows (a 1 MiB grid, or one row)
+    meets the whole table, viewed as (n_coef, 2L) reals when complex, in one product.
     """
     b_grid = np.asarray(b_grid, dtype=float)
-    half = a * system.width / 2.0
-    n_ret = system.n_retained
+    half, n_ret = a * system.width / 2.0, system.n_retained
+    table, n_coef = system.coefficients.view(float), len(system.coefficients)
     # runs are (point, array) in point-major order; seq holds every array's events
     seq = np.concatenate(events)
     offsets = np.cumsum([0] + [len(e) for e in events[:-1]])
     lo = np.array([np.searchsorted(e, b_grid - half, "left") for e in events]).T
     hi = np.array([np.searchsorted(e, b_grid + half, "right") for e in events]).T
-    first, counts = (lo + offsets).ravel(), (hi - lo).ravel()
+    first, last = (lo + offsets).ravel(), (hi + offsets).ravel()
     b_runs = np.repeat(b_grid, len(events))
+    # x = (t - b) / a rises with t, so only a run's end events can fail |x| < w/2
+    for bound, step, edge in ((first, 1, 0), (last, -1, -1)):
+        k = np.flatnonzero(first < last)
+        while k.size:
+            k = k[~(np.abs((seq[bound[k] + edge] - b_runs[k]) / a) < system.width / 2.0)]
+            bound[k] += step
+            k = k[first[k] < last[k]]
+    counts = last - first
     ends = np.cumsum(counts)
-    max_pairs, max_runs = PAIR_BLOCK // 32, PAIR_BLOCK // len(system.coefficients)
+    shift = first - ends + counts  # pair k of run r is event k + shift[r] of seq
+    max_pairs, max_rows = PAIR_BLOCK // 32, max(1, PAIR_BLOCK // (4 * n_coef))
+    grid = np.empty((min(max_rows, counts.size), n_coef))
     out = np.empty((counts.size, n_ret), dtype=complex)
-    start = 0
-    while start < counts.size:
-        base = ends[start - 1] if start else 0
-        stop = min(start + max_runs, int(np.searchsorted(ends, base + max_pairs, "right")))
-        stop = max(start + 1, stop)
-        run_ends, runs = ends[start:stop] - base, counts[start:stop]
-        # a pair's event: its run's first event plus the pair's rank in the run
-        pairs = np.arange(run_ends[-1]) + np.repeat(first[start:stop] - run_ends + runs, runs)
-        x = (seq[pairs] - np.repeat(b_runs[start:stop], runs)) / a
-        out[start:stop] = system.summed_wavelets_by_run(x, run_ends)
-        start = stop
+    for group in range(0, counts.size, max_rows):
+        start, stop = group, min(group + max_rows, counts.size)
+        while start < stop:
+            base = ends[start - 1] if start else 0
+            end = max(start + 1, min(stop, int(np.searchsorted(ends, base + max_pairs, "right"))))
+            runs = counts[start:end]
+            x = seq[np.arange(base, ends[end - 1]) + np.repeat(shift[start:end], runs)]
+            x -= np.repeat(b_runs[start:end], runs)
+            x /= a
+            cell, weights = system.basis(x)
+            cell += np.repeat(n_coef * np.arange(end - start), runs)  # its run's row
+            slots = (cell + np.arange(6)[:, None]).ravel()
+            rows = grid[start - group:end - group].reshape(-1)
+            rows[:] = np.bincount(slots, weights.ravel(), minlength=rows.size)
+            start = end
+        sums = grid[:stop - group] @ table
+        out[group:stop] = sums.view(complex) if np.iscomplexobj(system.coefficients) else sums
     return out.reshape(b_grid.size, len(events), n_ret) / math.sqrt(a)
 
 

@@ -254,8 +254,12 @@ def read_samples(path, widths: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def checked_samples(points, values, minimum: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """1-D, equally long (>= minimum), finite arrays, points increasing; or a ValidationError."""
-    points, values = np.asarray(points, dtype=float), np.asarray(values)
+    """1-D, equally long (>= minimum), finite arrays, points real and increasing and values
+    real or complex numbers; or a ValidationError."""
+    points, values = np.asarray(points), np.asarray(values)
+    if points.dtype.kind not in "iuf" or values.dtype.kind not in "iufc":
+        raise ValidationError(f"{what} needs real points and numeric values")
+    points = points.astype(float)
     if points.ndim != 1 or values.shape != points.shape or points.size < minimum:
         raise ValidationError(f"{what} needs 1-D points and values of one length >= {minimum}")
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):

@@ -298,8 +298,8 @@ class TestTableAccuracy:
             monkeypatch.setattr(np, name, refuse)
         x = np.linspace(-9.5, 9.5, 41)
         system.eigen_wavelets_at(x)
-        assert system.summed_wavelets_by_run(x, [20, x.size]).dtype == complex
-        spectra.eigen_transforms([np.linspace(1.0, 99.0, 300)], system, 2.0, [50.0])
+        v = spectra.eigen_transforms([np.linspace(1.0, 99.0, 300)], system, 2.0, [50.0])
+        assert v.dtype == complex
 
 
 class TestTableEvaluator:
@@ -325,13 +325,20 @@ class TestTableEvaluator:
         assert np.all(got[inside.size:] == 0)
 
     def test_sums_match_spline_oracle(self, table_system, spline_oracle):
-        inside, outside = self.probes(table_system)
-        for x in (inside, inside[::7], np.concatenate([outside, inside[:50]])):
-            got = table_system.summed_wavelets_by_run(x, [x.size])[0]
+        # the basis step of the transforms: points inside the support, their weights summed
+        # onto one grid row that meets the table; the 6 weights of a point sum to 1
+        inside, _ = self.probes(table_system)
+        n_coef = len(table_system.coefficients)
+        for x in (inside, inside[::7], inside[:1]):
+            first, weights = table_system.basis(x)
+            assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-14
+            row = np.bincount((first + np.arange(6)[:, None]).ravel(), weights.ravel(),
+                              minlength=n_coef)
+            got = row @ table_system.coefficients
             ref = spline_oracle(table_system, x).sum(axis=0)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.all(table_system.summed_wavelets_by_run(outside, [outside.size])[0] == 0)
-        assert np.all(table_system.summed_wavelets_by_run(np.array([]), [0])[0] == 0)
+        first, weights = table_system.basis(np.array([]))
+        assert first.shape == (0,) and weights.shape == (6, 0)
 
     def test_no_spline_on_the_evaluation_path(self, monkeypatch, morlet_sys10):
         from scipy.interpolate import CubicSpline, PPoly
@@ -343,7 +350,7 @@ class TestTableEvaluator:
         assert not any(isinstance(v, PPoly) for v in vars(morlet_sys10).values())
         x = np.linspace(-9.5, 9.5, 41)
         morlet_sys10.eigen_wavelets_at(x)
-        morlet_sys10.summed_wavelets_by_run(x, [x.size])
+        spectra.eigen_transforms([np.linspace(1.0, 99.0, 300)], morlet_sys10, 2.0, [50.0])
 
 
 class TestNotAKnotTable:

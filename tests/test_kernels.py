@@ -326,6 +326,11 @@ MALFORMED_WINDOWS = {
     "2-d-points": (np.linspace(-0.5, 0.5, 8).reshape(2, 4), np.ones((2, 4))),
     "length-mismatch": (np.linspace(-0.5, 0.5, 11), np.ones(10)),
     "complex": (np.linspace(-0.5, 0.5, 11), np.full(11, 1.0 + 0.1j)),
+    # each had been read on its real parts with a ComplexWarning, or escaped as a TypeError
+    "complex-points": (np.linspace(-0.5, 0.5, 5) + 0.1j, np.ones(5)),
+    "string-values": (np.linspace(-0.5, 0.5, 5), np.array(["1"] * 5)),
+    "none-in-values": (np.linspace(-0.5, 0.5, 5), [1, 1, None, 1, 1]),
+    "string-points": (np.linspace(-0.5, 0.5, 5).astype(str), np.ones(5)),
 }
 
 

@@ -128,6 +128,12 @@ MALFORMED_WAVELETS = {
     # Wavelet.tabulated's (times, values)
     "length-mismatch": (np.linspace(-4.0, 4.0, 16), np.ones(15)),
     "2-d-values": (np.linspace(-4.0, 4.0, 16), np.ones((16, 2))),
+    # each had been read on its real parts with a ComplexWarning, or escaped as a TypeError
+    "complex-points": (np.linspace(-4.0, 4.0, 16) + 1j, np.exp(-np.linspace(-4.0, 4.0, 16)**2)),
+    "string-values": (np.linspace(-4.0, 4.0, 16), np.array(["1"] * 16)),
+    "none-in-values": (np.linspace(-4.0, 4.0, 16), [1.0] * 15 + [None]),
+    "string-points": (np.linspace(-4.0, 4.0, 16).astype(str),
+                      np.exp(-np.linspace(-4.0, 4.0, 16)**2)),
 }
 
 
@@ -162,7 +168,7 @@ class TestTabulatedIO:
 
     @pytest.mark.parametrize("case", MALFORMED_WAVELETS, ids=list(MALFORMED_WAVELETS))
     def test_malformed_samples_are_validation_errors(self, case):
-        # each had escaped as scipy's or numpy's ValueError
+        # each had escaped as scipy's or numpy's ValueError, or as one of the errors above
         with pytest.raises(ValidationError):
             Wavelet.tabulated(*MALFORMED_WAVELETS[case])
 
