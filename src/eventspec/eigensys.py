@@ -22,7 +22,7 @@ interval i is sum_k c_{i-2+k} B_k(t) over 6 real uniform B-spline weights, so ev
 never sees the modulation. EigenSystem.basis forms them for points inside the support, in
 one (6, 6) product over the powers of t; eigen_wavelets_at masks the support and gathers 6
 rows per point, and spectra.eigen_transforms sums the weights onto one coefficient grid
-row per run of events and meets the table once per group of rows.
+row per run of events and meets the table once per block of runs.
 The Nystrom extension phi_l(x) = eta_l^(-1) sum_j w K(x, s_j) phi_l(s_j) the
 table approximates, sum_l eta_l |Phi_l(f)|^2 and the large-kappa closed form of n
 are test oracles (tests/oracles.py).
@@ -186,8 +186,9 @@ def nystrom_decompose(kernel: SmoothedKernel,
                       energy_cutoff: float = DEFAULT_ENERGY_CUTOFF) -> EigenSystem:
     """Solve the discretized eigenproblem and keep the leading energy.
 
-    The sampled kernel must be Hermitian to 1e-10; eigenvector phases are
-    normalized (largest-magnitude entry real positive) for reproducibility.
+    The sampled kernel must be Hermitian to 1e-10. Each eigenvector's phase makes its
+    largest-magnitude entry on the first n_points // 2 grid points (x < 0) real positive:
+    under a centrosymmetric kernel a whole-grid maximum ties with its mirror entry.
     """
     if not 0.0 < energy_cutoff <= 1.0:
         raise ValidationError("energy_cutoff must be in (0, 1]")
@@ -212,8 +213,8 @@ def nystrom_decompose(kernel: SmoothedKernel,
     vecs = vecs[:, order]
     # weighted orthonormality: sum w |phi|^2 = 1
     vecs /= math.sqrt(kernel.weight)
-    # fix the arbitrary per-vector phase/sign
-    idx = np.argmax(np.abs(vecs), axis=0)
+    # fix the arbitrary per-vector phase/sign on the half x < 0, where no mirror ties
+    idx = np.argmax(np.abs(vecs[: len(vecs) // 2]), axis=0)
     lead = vecs[idx, np.arange(vecs.shape[1])]
     lead = np.where(np.abs(lead) == 0, 1.0, lead)
     vecs *= np.conj(lead / np.abs(lead))[None, :]

@@ -73,11 +73,9 @@ class SmoothingWindow:
         Samples are interpolated, clipped at zero, symmetrized and
         renormalized so the stored density satisfies the window contract.
         """
-        if np.iscomplexobj(values):
-            raise ValidationError("window samples must be real")
         points, values = checked_samples(points, values, 2, "window")
-        if np.any(values < -1e-12):
-            raise ValidationError("window samples must be non-negative")
+        if np.iscomplexobj(values) or np.any(values < -1e-12):
+            raise ValidationError("window samples must be real and non-negative")
         if points[0] < -0.5 or points[-1] > 0.5:
             raise ValidationError("window samples must lie in [-1/2, 1/2]")
         spline = sampled(points, np.clip(values, 0.0, None))

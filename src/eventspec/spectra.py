@@ -6,7 +6,7 @@ the eigen-wavelets. eigen_transforms evaluates v_l at one scale over a translati
 grid; field() and stationarity_tests call it once per scale, and
 smoothed_periodogram_eigen at one point. It trims each (point, stream) run of a scale's
 (point, event) pairs to the support at its ends, sums the pairs' 6 real quintic B-spline
-weights onto one coefficient grid row per run, and one matrix product per group of rows
+weights onto one coefficient grid row per run, and one matrix product per block of runs
 meets the whole coefficient table, whose rows carry the wavelet's phase: no pair is
 masked or evaluates a sine or cosine, and the L-wide work does not grow with the pairs.
 Omega's definition, the kernel double sum over event pairs, is the direct route of the
@@ -14,7 +14,7 @@ test oracles (tests/oracles.py); the two agree to interpolation accuracy.
 
 cwt and smoothed_periodogram_eigen raise RegionError for a support outside (0, T];
 eigen_transforms checks no point: its callers pass points inside.
-Memory: PAIR_BLOCK bounds a block of pairs and, a quarter of it, a group's grid;
+Memory: PAIR_BLOCK bounds a block's pairs and, a quarter of it, its grid rows;
 MAX_FIELD_BYTES bounds field()'s Omega, and SpectralField.to_csv formats one scale row
 (n_b p^2 rows) at a time.
 """
@@ -70,10 +70,10 @@ def eigen_transforms(events, system: EigenSystem, a: float, b_grid) -> np.ndarra
     events are sorted event-time arrays (as EventStream.events). Binary searches find
     every point's events in its support, per array: a run of (point, event) pairs per
     (point, array), trimmed at its ends to the events with |x| < w/2, and one row of a
-    coefficient grid. Blocks of at least one run and at most PAIR_BLOCK // 32 pairs (about
-    17 values of weights, indices and temporaries each) sum their pairs' 6 weights onto
-    their rows, and each group of PAIR_BLOCK // (4 n_coef) rows (a 1 MiB grid, or one row)
-    meets the whole table, viewed as (n_coef, 2L) reals when complex, in one product.
+    coefficient grid. A block of at least one run, at most PAIR_BLOCK // 32 pairs (about
+    17 values of weights, indices and temporaries each) and at most PAIR_BLOCK // (4 n_coef)
+    runs (a 1 MiB grid) sums its pairs' 6 weights onto its rows in one bincount, and its
+    grid meets the whole table, viewed as (n_coef, 2L) reals when complex, in one product.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     half, n_ret = a * system.width / 2.0, system.n_retained
@@ -96,25 +96,23 @@ def eigen_transforms(events, system: EigenSystem, a: float, b_grid) -> np.ndarra
     ends = np.cumsum(counts)
     shift = first - ends + counts  # pair k of run r is event k + shift[r] of seq
     max_pairs, max_rows = PAIR_BLOCK // 32, max(1, PAIR_BLOCK // (4 * n_coef))
-    grid = np.empty((min(max_rows, counts.size), n_coef))
     out = np.empty((counts.size, n_ret), dtype=complex)
-    for group in range(0, counts.size, max_rows):
-        start, stop = group, min(group + max_rows, counts.size)
-        while start < stop:
-            base = ends[start - 1] if start else 0
-            end = max(start + 1, min(stop, int(np.searchsorted(ends, base + max_pairs, "right"))))
-            runs = counts[start:end]
-            x = seq[np.arange(base, ends[end - 1]) + np.repeat(shift[start:end], runs)]
-            x -= np.repeat(b_runs[start:end], runs)
-            x /= a
-            cell, weights = system.basis(x)
-            cell += np.repeat(n_coef * np.arange(end - start), runs)  # its run's row
-            slots = (cell + np.arange(6)[:, None]).ravel()
-            rows = grid[start - group:end - group].reshape(-1)
-            rows[:] = np.bincount(slots, weights.ravel(), minlength=rows.size)
-            start = end
-        sums = grid[:stop - group] @ table
-        out[group:stop] = sums.view(complex) if np.iscomplexobj(system.coefficients) else sums
+    start = 0
+    while start < counts.size:
+        base = ends[start - 1] if start else 0
+        end = max(start + 1, min(start + max_rows,
+                                 int(np.searchsorted(ends, base + max_pairs, "right"))))
+        runs = counts[start:end]
+        x = seq[np.arange(base, ends[end - 1]) + np.repeat(shift[start:end], runs)]
+        x -= np.repeat(b_runs[start:end], runs)
+        x /= a
+        cell, weights = system.basis(x)
+        cell += np.repeat(n_coef * np.arange(end - start), runs)  # its run's row
+        slots = (cell + np.arange(6)[:, None]).ravel()
+        grid = np.bincount(slots, weights.ravel(), minlength=(end - start) * n_coef)
+        sums = grid.reshape(end - start, n_coef) @ table
+        out[start:end] = sums.view(complex) if np.iscomplexobj(system.coefficients) else sums
+        start = end
     return out.reshape(b_grid.size, len(events), n_ret) / math.sqrt(a)
 
 

@@ -256,7 +256,10 @@ def read_samples(path, widths: tuple) -> tuple[np.ndarray, np.ndarray]:
 def checked_samples(points, values, minimum: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """1-D, equally long (>= minimum), finite arrays, points real and increasing and values
     real or complex numbers; or a ValidationError."""
-    points, values = np.asarray(points), np.asarray(values)
+    try:
+        points, values = np.asarray(points), np.asarray(values)
+    except ValueError:  # a ragged sequence, which numpy refuses as "inhomogeneous"
+        raise ValidationError(f"{what} needs 1-D points and values, not ragged ones") from None
     if points.dtype.kind not in "iuf" or values.dtype.kind not in "iufc":
         raise ValidationError(f"{what} needs real points and numeric values")
     points = points.astype(float)

@@ -230,6 +230,33 @@ class TestStationarityCommand:
         for s in doc["scales"]:
             assert 0.0 < s["p_value"] < 1.0
 
+    def test_excluded_scale_is_reported_na(self, tmp_path, capsys):
+        # one event per stream in each of segments 1, 3, 5 and 7 of eight: segment 2 of
+        # j = 3 holds none, so its matrix is singular and only j = 1 and 2 combine
+        path = tmp_path / "sparse.csv"
+        path.write_text("# p=2 T=100.0\n1,10\n2,12\n1,30\n2,33\n1,55\n2,60\n1,80\n2,85\n")
+        assert run(["test-stationarity", path, "--out", tmp_path]) == 0
+        out, err = capsys.readouterr()
+        rows = {line.split()[0]: line for line in out.splitlines()}
+        assert rows["3"].split()[:5] == ["3", "8", "NA", "28.0", "NA"]
+        assert rows["3"].endswith("(segment 2 matrix is not positive definite)")
+        assert "NA" not in rows["1"] + rows["2"] and rows["combined"].split()[-2] == "16.0"
+        assert "warning: scales [3] excluded" in err
+        doc = json.loads((tmp_path / "stationarity.json").read_text())
+        assert [s["valid"] for s in doc["scales"]] == [True, True, False]
+        assert doc["meta"]["excluded_scales"] == [3]
+
+    def test_no_valid_scale_gives_a_null_combined_test(self, tmp_path, capsys):
+        path = tmp_path / "one-pair.csv"
+        path.write_text("# p=2 T=100.0\n1,10\n2,12\n")
+        assert run(["test-stationarity", path, "--out", tmp_path]) == 0
+        out, err = capsys.readouterr()
+        assert "combined: NA (no valid scale)" in out.splitlines()
+        assert "warning: scales [1, 2, 3] excluded" in err
+        doc = json.loads((tmp_path / "stationarity.json").read_text())
+        assert doc["combined"] == {"statistic": None, "dof": 0, "p_value": None}
+        assert not any(s["valid"] for s in doc["scales"])
+
     def test_invalid_j_is_config_error(self, tmp_path, poisson_file):
         assert run(["test-stationarity", poisson_file, "--J", 0,
                     "--out", tmp_path]) == 2

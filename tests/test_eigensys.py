@@ -1,5 +1,8 @@
 import functools
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,6 +34,27 @@ class TestDecomposition:
         mat = kern.envelope_values
         eta = np.linalg.eigh(kern.weight * (0.5 * (mat + np.conj(mat.T))))[0]
         assert np.array_equal(np.clip(eta[::-1], 0.0, None), nystrom_decompose(kern).eigenvalues)
+
+    def test_eigen_wavelets_agree_at_one_and_two_blas_threads(self, tmp_path):
+        # a centrosymmetric kernel's vectors have mirror-symmetric magnitudes, so a sign
+        # fixed by the whole-grid maximum followed rounding: l = 3, 5 and 7 had flipped
+        # (0.82 apart) between one and two OpenBLAS threads
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from eventspec import SmoothingWindow, Wavelet, eigensystem\n"
+                "s = eigensystem(Wavelet.morlet(), SmoothingWindow.rectangular(10.0),\n"
+                "                energy_cutoff=0.999)\n"
+                "np.save(sys.argv[1], s.eigen_wavelets_at(s.grid))\n")
+        columns = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.npy"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(eigensys.__file__)))
+            subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                           timeout=120)
+            columns.append(np.load(path))
+        assert columns[0].shape == (512, 9)
+        assert np.abs(columns[0] - columns[1]).max() <= 1e-12
 
     def test_decompose_traced_peak(self, morlet, rect10, traced_peak):
         # the Hermitian check takes max|K - K^H| and max|K| a block of rows at a time; over

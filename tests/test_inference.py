@@ -74,6 +74,18 @@ class TestCoherenceDensity:
                              np.sqrt(x), limit=200)
             assert dist.cdf(x) == pytest.approx(direct, abs=1e-6)
 
+    @pytest.mark.parametrize("flavor, n", [(Flavor.REAL, 11.57), (Flavor.COMPLEX, 8.31)])
+    def test_cdf_grid_at_tiny_rho2_matches_the_null_closed_form(self, flavor, n):
+        # rho2 = 1e-12 takes the numeric grid, whose first node holds the real flavour's
+        # y -> 0 limit of the integrand; the laws differ from the null's by about 1e-12
+        xs = np.linspace(0.0, 0.999, 500)
+        if flavor is Flavor.REAL:
+            exact = betainc(0.5, (n - 1.0) / 2.0, xs)
+        else:
+            exact = 1.0 - (1.0 - xs) ** (n - 1.0)
+        got = CoherenceDistribution(n=n, rho2=1e-12, flavor=flavor).cdf(xs)
+        assert np.abs(got - exact).max() <= 1e-6
+
     @pytest.mark.parametrize("flavor, n", [(Flavor.REAL, 2.0), (Flavor.REAL, 2.5),
                                            (Flavor.COMPLEX, 1.5)])
     def test_cdf_grid_refuses_unbounded_integrand(self, flavor, n):

@@ -331,6 +331,9 @@ MALFORMED_WINDOWS = {
     "string-values": (np.linspace(-0.5, 0.5, 5), np.array(["1"] * 5)),
     "none-in-values": (np.linspace(-0.5, 0.5, 5), [1, 1, None, 1, 1]),
     "string-points": (np.linspace(-0.5, 0.5, 5).astype(str), np.ones(5)),
+    # each had escaped as numpy's ValueError ("inhomogeneous shape")
+    "ragged-points": ([0.0, [0.1, 0.2], 0.5], [1, 1, 1]),
+    "ragged-values": ([-0.5, 0.0, 0.5], [1, [1, 2], 1]),
 }
 
 

@@ -507,8 +507,8 @@ def sweep_cases(draw):
 
 
 def block_sizes(system):
-    """PAIR_BLOCK values: a limit of 1 pair and 1 row, so each block and group is one run;
-    and groups of 2 rows with n_coef // 4 pairs per block."""
+    """PAIR_BLOCK values: a limit of 1 pair and 1 row, so each block is one run; and blocks
+    of at most 2 rows and n_coef // 4 pairs."""
     return {"1 pair": 32, "2 rows": 8 * len(system.coefficients)}
 
 
@@ -540,58 +540,53 @@ class TestEigenTransforms:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=sweep_cases())
-    def test_one_row_groups_match_the_default(self, case):
+    def test_one_row_blocks_match_the_default(self, case):
         stream, system, a, b_grid = case
         default = spectra.eigen_transforms(stream.events, system, a, b_grid)
-        with pytest.MonkeyPatch.context() as mp:  # every group a one-row product
+        with pytest.MonkeyPatch.context() as mp:  # every block one run, a one-row product
             mp.setattr(spectra, "PAIR_BLOCK", 4 * len(system.coefficients) - 1)
             got = spectra.eigen_transforms(stream.events, system, a, b_grid)
         assert np.linalg.norm(got - default) <= 1e-13 * np.linalg.norm(default)
         assert np.array_equal(got == 0, default == 0)
 
     def test_blocks_bound_the_pairs(self, morlet_sys10, monkeypatch):
-        # unless it is one run, a deposit block holds at most PAIR_BLOCK // 32 pairs and a
-        # group's grid at most PAIR_BLOCK // 4 values; each group's blocks fill its rows
+        # a block deposits its weights in one bincount and meets the table in one product of
+        # its own rows: at least one run, at most PAIR_BLOCK // (4 n_coef) runs and, unless
+        # it is one run, at most PAIR_BLOCK // 32 pairs
         system, log = morlet_sys10, []
         n_coef = len(system.coefficients)
-        block = 4 * n_coef * 6  # groups of 6 rows, blocks of 1,608 pairs
+        block = 4 * n_coef * 6  # blocks of at most 6 runs and 1,608 pairs
         monkeypatch.setattr(spectra, "PAIR_BLOCK", block)
         bincount = np.bincount
 
         def deposit(slots, weights, minlength):
-            log.append(("block", weights.size // 6, minlength // n_coef))
+            log.append(("deposit", weights.size // 6, minlength // n_coef))
             return bincount(slots, weights, minlength=minlength)
 
         class Table(np.ndarray):  # records the rows of each product with the table
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                log.append(("group", inputs[0].shape[0]))
+                log.append(("product", inputs[0].shape[0]))
                 return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
         monkeypatch.setattr(np, "bincount", deposit)
         monkeypatch.setattr(system, "coefficients", system.coefficients.view(Table))
         s = simulate_poisson([20.0, 20.0], 100.0, seed=9)
         b_grid = np.linspace(30.0, 70.0, 40)
-        # about 90 events per support at a = 0.25 (one block per group), 430 at a = 1.2
-        # (blocks of 3 runs, 2 per group) and 2,000 at a = 10 (blocks of one run)
-        for a, blocks_per_group, runs_per_block in ((0.25, 1, 6), (1.2, 2, 3), (10.0, 6, 1)):
+        # about 90 events per support at a = 0.25 (blocks of 6 runs, the row bound), 430 at
+        # a = 1.2 (blocks of 3 runs, the pair bound) and 2,000 at a = 10 (blocks of one run)
+        for a, runs_per_block in ((0.25, 6), (1.2, 3), (10.0, 1)):
             log.clear()
             got = spectra.eigen_transforms(s.events, system, a, b_grid)
-            groups, blocks = [], []
-            for entry in log:
-                if entry[0] == "block":
-                    blocks.append(entry[1:])
-                else:
-                    groups.append((entry[1], blocks))
-                    blocks = []
-            assert not blocks and sum(rows for rows, _ in groups) == b_grid.size * s.p
-            for rows, blocks in groups:
-                assert rows == sum(runs for _, runs in blocks)
-                assert rows == 1 or rows * n_coef <= block // 4
-                assert all(runs == 1 or pairs <= block // 32 for pairs, runs in blocks)
-            assert max(len(blocks) for _, blocks in groups) == blocks_per_group
-            assert max(runs for _, blocks in groups for _, runs in blocks) == runs_per_block
+            deposits, products = log[::2], log[1::2]
+            assert [kind for kind, _ in products] == ["product"] * len(deposits)
+            assert [kind for kind, *_ in deposits] == ["deposit"] * len(deposits)
+            for (_, pairs, runs), (_, rows) in zip(deposits, products):
+                assert rows == runs and 1 <= runs <= 6
+                assert runs == 1 or pairs <= block // 32
+            assert sum(runs for *_, runs in deposits) == b_grid.size * s.p
+            assert max(runs for *_, runs in deposits) == runs_per_block
             with monkeypatch.context() as mp:
                 mp.setattr(np, "bincount", bincount)
                 ref = eigen_transforms_per_point(s, system, a, b_grid)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert max(pairs for pairs, _ in blocks) > block // 32  # a one-run block past the limit
+        assert max(pairs for _, pairs, _ in deposits) > block // 32  # a one-run block past it

@@ -134,6 +134,10 @@ MALFORMED_WAVELETS = {
     "none-in-values": (np.linspace(-4.0, 4.0, 16), [1.0] * 15 + [None]),
     "string-points": (np.linspace(-4.0, 4.0, 16).astype(str),
                       np.exp(-np.linspace(-4.0, 4.0, 16)**2)),
+    # each had escaped as numpy's ValueError ("inhomogeneous shape")
+    "ragged-points": ([list(np.linspace(-4.0, 0.0, 8)), list(np.linspace(0.5, 4.0, 4))],
+                      np.ones(16)),
+    "ragged-values": (np.linspace(-4.0, 4.0, 16), [1.0] * 16 + [[1.0, 2.0]]),
 }
 
 
